@@ -11,15 +11,10 @@ sits between the simulated xi tail and the exponential bound.
 
 import numpy as np
 
-from cauchysketch import (
-    RngSeed,
-    dominating_survival,
-    make_generator,
-    sample_standard_cauchy,
-    verify_max_bound,
-    xi,
-    xi_tail_bound,
-)
+from cauchysketch import RngSeed, xi
+from cauchysketch.cauchy import make_generator, sample_standard_cauchy
+from cauchysketch.concentration import dominating_survival, xi_tail_bound
+from cauchysketch.verify import verify_max_bound
 
 n = 1_000_000
 print(f"tail of xi(lambda |X|), {n:,} draws per scale")

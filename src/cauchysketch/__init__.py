@@ -1,146 +1,52 @@
 """Cauchy projections for l1 distances.
 
-Sketch points with a k x d matrix of iid standard Cauchy entries, compare
-sketches in the bounded metric rho (the mean of xi(|difference|) across
-coordinates), and invert the mean map mu to recover l1 distances within a
-factor 1 +- epsilon. The concentration module plans the dimension k that
-makes this hold for all pairs of an N-point set simultaneously, and the
-verify module checks every closed form against independent quadrature and
-Monte Carlo oracles.
+Sketch an (N, d) point set X into the (N, k) array X F^T, where F is a
+seeded k x d matrix of iid standard Cauchy entries. Compare two sketch
+rows in the bounded metric rho (the mean of xi(|difference|) across
+coordinates), and invert the mean map mu to recover their l1 distance
+within a factor 1 +- epsilon: mu_inverse(rho(u, v)). plan_dimension picks
+the k that makes this hold for all pairs of an N-point set
+simultaneously, and run_suite checks every closed form against
+independent quadrature and Monte Carlo oracles.
+
+The root exports the plan -> sketch -> estimate -> verify path; the
+bounds, oracles and helpers behind it live in the submodules.
 """
 
-from .cauchy import (
-    GENERATOR_NAME,
-    RngSeed,
-    cdf_abs,
-    ks_critical_value,
-    ks_statistic,
-    make_generator,
-    sample_standard_cauchy,
-    stable_combination,
-    survival_abs,
-)
-from .concentration import (
-    ChernoffPlan,
-    InfeasibleParameterError,
-    MaxBoundPlan,
-    RegimeError,
-    ScaleRegime,
-    chernoff_rate_large,
-    chernoff_rate_small,
-    classify_scale,
-    corollary_band,
-    dominating_survival,
-    h_rate,
-    max_abs_plan,
-    plan_dimension,
-    plan_dimension_for_delta,
-    u_star_large,
-    u_star_small_upper,
-    xi_tail_bound,
-)
-from .metric import SketchedPoint, rho, xi, xi_small_envelope
-from .moments import (
-    DeviationPair,
-    MomentProfile,
-    deviations,
-    expected_log1p,
-    moment_profile,
-    mu,
-    mu_derivative,
-    mu_inverse,
-    mu_small_envelope,
-    second_moment_ratio_bound,
-    second_moment_upper,
-)
+from .cauchy import RngSeed
+from .concentration import InfeasibleParameterError, max_abs_plan, plan_dimension
+from .metric import rho, xi
+from .moments import mu, mu_inverse
 from .sketch import (
     DatasetFormatError,
-    ProjectionMatrix,
-    SketchConfig,
     build_projection,
-    estimate_l1,
-    project,
     read_binary_matrix,
     read_points,
     regime_tag,
     sketch_dataset,
     write_binary_matrix,
 )
-from .verify import (
-    SUITES,
-    ConcentrationTrial,
-    QuadratureError,
-    VerificationReport,
-    empirical_k_search,
-    quadrature_mean,
-    run_concentration_trial,
-    run_suite,
-    verify_max_bound,
-)
+from .verify import SUITES, run_suite
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",
-    "GENERATOR_NAME",
     "RngSeed",
-    "cdf_abs",
-    "ks_critical_value",
-    "ks_statistic",
-    "make_generator",
-    "sample_standard_cauchy",
-    "stable_combination",
-    "survival_abs",
-    "ChernoffPlan",
-    "InfeasibleParameterError",
-    "MaxBoundPlan",
-    "RegimeError",
-    "ScaleRegime",
-    "chernoff_rate_large",
-    "chernoff_rate_small",
-    "classify_scale",
-    "corollary_band",
-    "dominating_survival",
-    "h_rate",
-    "max_abs_plan",
-    "plan_dimension",
-    "plan_dimension_for_delta",
-    "u_star_large",
-    "u_star_small_upper",
-    "xi_tail_bound",
-    "SketchedPoint",
-    "rho",
-    "xi",
-    "xi_small_envelope",
-    "DeviationPair",
-    "MomentProfile",
-    "deviations",
-    "expected_log1p",
-    "moment_profile",
-    "mu",
-    "mu_derivative",
-    "mu_inverse",
-    "mu_small_envelope",
-    "second_moment_ratio_bound",
-    "second_moment_upper",
     "DatasetFormatError",
-    "ProjectionMatrix",
-    "SketchConfig",
+    "InfeasibleParameterError",
+    "plan_dimension",
+    "max_abs_plan",
     "build_projection",
-    "estimate_l1",
-    "project",
-    "read_binary_matrix",
-    "read_points",
-    "regime_tag",
     "sketch_dataset",
+    "read_points",
+    "read_binary_matrix",
     "write_binary_matrix",
+    "xi",
+    "rho",
+    "mu",
+    "mu_inverse",
+    "regime_tag",
     "SUITES",
-    "ConcentrationTrial",
-    "QuadratureError",
-    "VerificationReport",
-    "empirical_k_search",
-    "quadrature_mean",
-    "run_concentration_trial",
     "run_suite",
-    "verify_max_bound",
 ]

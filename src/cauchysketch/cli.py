@@ -21,16 +21,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .cauchy import GENERATOR_NAME, RngSeed
 from .concentration import max_abs_plan, plan_dimension
-from .metric import SketchedPoint, rho
+from .metric import rho
 from .moments import mu_inverse
 from .sketch import (
     DatasetFormatError,
-    SketchConfig,
     read_binary_matrix,
     read_points,
     regime_tag,
@@ -64,22 +61,36 @@ def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
     return 0
 
 
+def _check_sketch_parameters(k, n_points, epsilon, c) -> None:
+    """Raise ValueError unless k >= 1 and n_points >= 2 are integers,
+    epsilon is in (0, 1/4] and c >= 3: what a sketch may be made with."""
+    for name, value, low in (("k", k, 1), ("n_points", n_points, 2)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    for name, value in (("epsilon", epsilon), ("c", c)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0.0 < epsilon <= 0.25:
+        raise ValueError(f"epsilon must be in (0, 1/4], got {epsilon!r}")
+    if not c >= 3.0:
+        raise ValueError(f"c must be >= 3, got {c!r}")
+
+
 def cmd_sketch(args: argparse.Namespace, seed: RngSeed) -> int:
     points = read_points(args.input, args.format)
-    if points.shape[0] < 2:
-        raise DatasetFormatError(f"need at least 2 points to sketch, got {points.shape[0]}")
-    cfg = SketchConfig(
-        epsilon=args.epsilon, c=args.c, n_points=int(points.shape[0]), k_override=args.k
-    )
-    matrix, sketches = sketch_dataset(points, cfg, seed)
-    coords = np.stack([s.coords for s in sketches])
+    n = points.shape[0]
+    if n < 2:
+        raise DatasetFormatError(f"need at least 2 points to sketch, got {n}")
+    k = args.k if args.k is not None else plan_dimension(args.epsilon, n, args.c).k
+    _check_sketch_parameters(k, n, args.epsilon, args.c)
+    coords = sketch_dataset(points, k, seed)
     write_binary_matrix(args.output, coords)
     metadata = {
         "generator": GENERATOR_NAME,
         "version": __version__,
-        "k": matrix.k,
-        "d": matrix.d,
-        "n_points": int(points.shape[0]),
+        "k": coords.shape[1],
+        "d": points.shape[1],
+        "n_points": coords.shape[0],
         "seed": seed.seed,
         "stream": seed.stream_id,
         "epsilon": float(args.epsilon),
@@ -88,7 +99,7 @@ def cmd_sketch(args: argparse.Namespace, seed: RngSeed) -> int:
     with open(args.output + ".json", "w") as handle:
         handle.write(json.dumps(metadata, sort_keys=True) + "\n")
     print(
-        f"sketched {points.shape[0]} points, d = {matrix.d} -> k = {matrix.k}; "
+        f"sketched {n} points, d = {points.shape[1]} -> k = {k}; "
         f"wrote {args.output} and {args.output}.json"
     )
     return 0
@@ -103,22 +114,26 @@ def cmd_estimate(args: argparse.Namespace, seed: RngSeed) -> int:
         raise DatasetFormatError(f"missing metadata sidecar {metadata_path}") from None
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"unreadable metadata sidecar {metadata_path}: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise DatasetFormatError(f"metadata sidecar {metadata_path} is not a JSON object")
     for key in ("k", "n_points", "epsilon", "c"):
         if key not in metadata:
             raise DatasetFormatError(f"metadata sidecar {metadata_path} lacks {key!r}")
+    n, k, epsilon, c = (metadata[key] for key in ("n_points", "k", "epsilon", "c"))
+    try:
+        _check_sketch_parameters(k, n, epsilon, c)
+    except ValueError as exc:
+        raise DatasetFormatError(f"metadata sidecar {metadata_path}: {exc}") from None
     coords = read_binary_matrix(args.input)
-    n, k = int(metadata["n_points"]), int(metadata["k"])
     if coords.shape != (n, k):
         raise DatasetFormatError(
             f"sketch shape {coords.shape} does not match metadata (n_points={n}, k={k})"
         )
-    epsilon = float(metadata["epsilon"])
-    lambda0 = max_abs_plan(k, epsilon, n, float(metadata["c"])).lambda0
-    sketches = [SketchedPoint(row) for row in coords]
+    lambda0 = max_abs_plan(k, epsilon, n, c).lambda0
     lines = ["i,j,rho,estimate,regime"]
     for i in range(n):
         for j in range(i + 1, n):
-            r = rho(sketches[i], sketches[j])
+            r = rho(coords[i], coords[j])
             estimate = mu_inverse(r)
             lines.append(f"{i},{j},{r!r},{estimate!r},{regime_tag(estimate, epsilon, lambda0)}")
     body = "\n".join(lines) + "\n"

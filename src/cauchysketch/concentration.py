@@ -47,7 +47,6 @@ __all__ = [
     "chernoff_rate_small",
     "u_star_large",
     "u_star_small_upper",
-    "ScaleRegime",
     "classify_scale",
     "ChernoffPlan",
     "plan_dimension",
@@ -239,46 +238,23 @@ def u_star_small_upper(epsilon: float, lam: float) -> float:
     return epsilon * mu(lam) / (2.0 * lam * (A_SMALL_UPPER_PRINTED + _small_base(lam)))
 
 
-def _kind_of(lam: float, epsilon: float) -> str:
-    if lam >= math.sqrt(1.0 + epsilon):
-        return "large"
-    if lam > 8.0 * epsilon**2:
-        return "small"
-    return "really_small"
-
-
-@dataclass(frozen=True)
-class ScaleRegime:
-    """Which of the three distance ranges a (lambda, epsilon) pair is in."""
-
-    kind: str
-    lam: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        _check_epsilon(self.epsilon)
-        if self.lam <= 0.0 or math.isnan(self.lam):
-            raise ValueError(f"lambda must be > 0, got {self.lam!r}")
-        expected = _kind_of(self.lam, self.epsilon)
-        if self.kind != expected:
-            raise ValueError(
-                f"kind {self.kind!r} inconsistent with lambda={self.lam!r}, "
-                f"epsilon={self.epsilon!r} (expected {expected!r})"
-            )
-
-
-def classify_scale(lam: float, epsilon: float) -> ScaleRegime:
+def classify_scale(lam: float, epsilon: float) -> str:
     """Classify lambda per the two-sided guarantee's case split.
 
-    large: lambda >= sqrt(1+eps); small: 8 eps^2 < lambda < sqrt(1+eps);
-    really_small: lambda <= 8 eps^2 (boundary included, matching the
-    strict inequality in the small-regime hypotheses).
+    Returns "large" for lambda >= sqrt(1+eps), "small" for
+    8 eps^2 < lambda < sqrt(1+eps), and "really_small" for
+    lambda <= 8 eps^2 (boundary included, matching the strict inequality
+    in the small-regime hypotheses).
     """
     epsilon = _check_epsilon(epsilon)
     lam = float(lam)
     if lam <= 0.0 or math.isnan(lam):
         raise ValueError(f"lambda must be > 0, got {lam!r}")
-    return ScaleRegime(_kind_of(lam, epsilon), lam, epsilon)
+    if lam >= math.sqrt(1.0 + epsilon):
+        return "large"
+    if lam > 8.0 * epsilon**2:
+        return "small"
+    return "really_small"
 
 
 @dataclass(frozen=True)

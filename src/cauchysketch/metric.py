@@ -13,28 +13,9 @@ really-small-scale argument trade one scale for another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["SketchedPoint", "xi", "rho", "xi_small_envelope"]
-
-
-@dataclass(frozen=True)
-class SketchedPoint:
-    """Image of one point in the k-dimensional target space."""
-
-    coords: np.ndarray
-    k: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=np.float64).ravel()
-        if coords.size < 1:
-            raise ValueError("a sketched point needs at least one coordinate")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("sketched coordinates must be finite")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "k", int(coords.size))
+__all__ = ["xi", "rho", "xi_small_envelope"]
 
 
 def xi(a):
@@ -51,19 +32,20 @@ def xi(a):
     return float(out) if out.ndim == 0 else out
 
 
-def rho(u: SketchedPoint, v: SketchedPoint) -> float:
+def rho(u: np.ndarray, v: np.ndarray) -> float:
     """Target metric rho(u, v) = mean of xi over |u_i - v_i|.
 
+    u and v are two sketch rows: nonempty 1-d arrays of equal length.
     Symmetric, zero exactly on equal points, triangle inequality via the
     concavity of xi, and translation invariant since only differences
     enter. numpy's pairwise (fixed-block tree) reduction keeps the mean
     accurate and bit-stable for large k.
     """
-    if not isinstance(u, SketchedPoint) or not isinstance(v, SketchedPoint):
-        raise TypeError("rho expects SketchedPoint arguments")
-    if u.k != v.k:
-        raise ValueError(f"dimension mismatch: {u.k} vs {v.k}")
-    return float(np.mean(xi(np.abs(u.coords - v.coords))))
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.ndim != 1 or u.size == 0 or u.shape != v.shape:
+        raise ValueError(f"rho needs nonempty 1-d arrays of equal length, got {u.shape}, {v.shape}")
+    return float(np.mean(xi(np.abs(u - v))))
 
 
 def xi_small_envelope(a: float) -> tuple[float, float]:

@@ -19,12 +19,12 @@ in the verification suites; nothing in this module integrates anything.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .specfun import atanh_eval, ti2
 
 __all__ = [
-    "MomentProfile",
     "DeviationPair",
     "mu",
     "mu_derivative",
@@ -34,10 +34,14 @@ __all__ = [
     "expected_log1p",
     "second_moment_upper",
     "second_moment_ratio_bound",
-    "moment_profile",
 ]
 
 _HALF_PI_SQ = math.pi * math.pi / 2.0
+_SQRT2 = math.sqrt(2.0)
+
+# lambda^2 overflows above ~1.3e154; mu and mu_derivative switch to forms
+# without lambda^2 above this scale and keep their bits below it.
+_LARGE_LAMBDA = 1e150
 
 
 def _check_lambda(lam: float, *, positive: bool = False) -> float:
@@ -52,10 +56,20 @@ def _check_lambda(lam: float, *, positive: bool = False) -> float:
 
 
 def mu(lam: float) -> float:
-    """Mean map mu(lambda) = E xi(lambda |X|), in closed form."""
+    """Mean map mu(lambda) = E xi(lambda |X|), in closed form.
+
+    Finite for every finite lambda: above _LARGE_LAMBDA, where lambda^2
+    would overflow, ln(1 + lambda^2)/2 is taken as
+    ln(lambda) + ln(1 + lambda^-2)/2 and sqrt(2 lambda) as
+    sqrt(2) sqrt(lambda).
+    """
     lam = _check_lambda(lam)
     if lam == 0.0:
         return 0.0
+    if lam > _LARGE_LAMBDA:
+        return atanh_eval(_SQRT2 * math.sqrt(lam) / (1.0 + lam)) + (
+            math.log(lam) + 0.5 * math.log1p((1.0 / lam) ** 2)
+        )
     return atanh_eval(math.sqrt(2.0 * lam) / (1.0 + lam)) + 0.5 * math.log1p(lam * lam)
 
 
@@ -63,9 +77,13 @@ def mu_derivative(lam: float) -> float:
     """d mu / d lambda; strictly positive on lambda > 0.
 
     Differentiating the closed form collapses to
-    ((1 - lambda)/sqrt(2 lambda) + lambda) / (1 + lambda^2).
+    ((1 - lambda)/sqrt(2 lambda) + lambda) / (1 + lambda^2); above
+    _LARGE_LAMBDA numerator and denominator are divided by lambda first.
     """
     lam = _check_lambda(lam, positive=True)
+    if lam > _LARGE_LAMBDA:
+        numerator = (1.0 - lam) / (_SQRT2 * math.sqrt(lam)) + lam
+        return (numerator / lam) / (lam + 1.0 / lam)
     return ((1.0 - lam) / math.sqrt(2.0 * lam) + lam) / (1.0 + lam * lam)
 
 
@@ -139,32 +157,6 @@ def mu_small_envelope(lam: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class MomentProfile:
-    """Closed-form moment summary of xi(lambda |X|) at one scale."""
-
-    lam: float
-    mu: float
-    log_mean: float
-    second_moment_upper: float
-    variance_upper: float
-
-
-def moment_profile(lam: float) -> MomentProfile:
-    """Bundle mu, E ln(1 + lambda |X|), and the moment bounds for one scale."""
-    lam = _check_lambda(lam, positive=True)
-    m = mu(lam)
-    log_mean = expected_log1p(lam)
-    var_up = min(2.0 * log_mean, _HALF_PI_SQ)
-    return MomentProfile(
-        lam=lam,
-        mu=m,
-        log_mean=log_mean,
-        second_moment_upper=var_up + m * m,
-        variance_upper=var_up,
-    )
-
-
-@dataclass(frozen=True)
 class DeviationPair:
     """Band widths Delta+- = mu((1+eps) lambda) - mu(lambda) and
     mu(lambda) - mu(lambda/(1+eps)); both strictly positive."""
@@ -201,17 +193,26 @@ def mu_inverse(m: float, rtol: float = 1e-12, max_iter: int = 200) -> float:
     Bracketed bisection seeded by the small-scale inverse (lambda ~ m^2/2)
     and the large-scale asymptote (ln(1 + lambda^2)/2 ~ m), refined by
     Newton steps that fall back to bisection whenever they leave the
-    bracket. Round-trips mu to better than 1e-10 relative.
+    bracket. Round-trips mu to better than 1e-10 relative up to lambda
+    ~ 1e6 and 1e-9 up to the largest float; m above mu(float max)
+    ~ 709.78 has no finite inverse and raises ValueError.
     """
     m = float(m)
     if math.isnan(m) or m < 0.0:
         raise ValueError(f"mu_inverse requires m >= 0, got {m!r}")
+    if m > _MU_MAX:
+        raise ValueError(f"mu_inverse requires m <= mu(float max) = {_MU_MAX!r}, got {m!r}")
     if m == 0.0:
         return 0.0
 
     # Seeds: mu ~ sqrt(2 lambda) for small lambda, ~ ln(lambda) for large.
+    # expm1(2m) overflows past m ~ 354.9; there e^(m+1) (or the largest
+    # float) brackets instead, since mu(lambda) > ln(lambda).
     lo = 0.25 * m * m
-    hi = max(2.0 * m * m, math.sqrt(math.expm1(2.0 * m)) + 1.0)
+    if m < 350.0:
+        hi = max(2.0 * m * m, math.sqrt(math.expm1(2.0 * m)) + 1.0)
+    else:
+        hi = math.exp(m + 1.0) if m < 708.0 else sys.float_info.max
     for _ in range(max_iter):
         if mu(lo) <= m:
             break
@@ -236,3 +237,7 @@ def mu_inverse(m: float, rtol: float = 1e-12, max_iter: int = 200) -> float:
         # Newton, safeguarded: reject steps outside the current bracket.
         lam = step if lo < step < hi else 0.5 * (lo + hi)
     return lam
+
+
+# Largest value of mu on finite lambda; mu_inverse has no finite answer above it.
+_MU_MAX = mu(sys.float_info.max)

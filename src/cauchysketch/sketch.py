@@ -1,12 +1,14 @@
-"""Dense Cauchy projections of point sets and l1 distance estimation.
+"""Dense Cauchy projections of point sets, regime tags for distance estimates,
+and the dataset and sketch file formats.
 
-The pipeline: draw a k x d matrix of iid standard Cauchy entries, apply it
-to each point, and read distances off the sketches through the nonlinear
-mean map. By 1-stability each sketch coordinate difference is Cauchy with
-scale ||x - y||_1, so the sketch-space mean of xi concentrates at
-mu(||x - y||_1) and mu_inverse turns it back into a distance estimate.
+The pipeline: draw a k x d matrix F of iid standard Cauchy entries, sketch
+the (N, d) point array X as the (N, k) array X F^T, and read distances off
+pairs of sketch rows through the nonlinear mean map. By 1-stability each
+sketch coordinate difference is Cauchy with scale ||x - y||_1, so the
+sketch-space mean of xi, rho(u, v), concentrates at mu(||x - y||_1) and
+mu_inverse(rho(u, v)) turns it back into a distance estimate.
 
-Everything is deterministic in (points, config, seed): matrix entries come
+Everything is deterministic in (points, k, seed): matrix entries come
 from a single seeded stream in row-major order, so entry (i, j) is draw
 number i*d + j regardless of how the matrix is later traversed.
 
@@ -25,17 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import RngSeed, make_generator, sample_standard_cauchy
-from .concentration import classify_scale, plan_dimension
-from .metric import SketchedPoint, rho
-from .moments import mu_inverse
+from .concentration import classify_scale
 
 __all__ = [
     "DatasetFormatError",
     "ProjectionMatrix",
-    "SketchConfig",
     "build_projection",
-    "project",
-    "estimate_l1",
     "sketch_dataset",
     "regime_tag",
     "read_points",
@@ -73,37 +70,6 @@ class ProjectionMatrix:
             raise ValueError("projection entries must be finite")
 
 
-@dataclass(frozen=True)
-class SketchConfig:
-    """Accuracy/failure parameters of a sketching run.
-
-    k_override skips the planner; otherwise the dimension comes from
-    plan_dimension(epsilon, n_points, c).
-    """
-
-    epsilon: float
-    c: float
-    n_points: int
-    k_override: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < float(self.epsilon) <= 0.25:
-            raise ValueError(f"epsilon must be in (0, 1/4], got {self.epsilon!r}")
-        if math.isnan(float(self.c)) or float(self.c) < 3.0:
-            raise ValueError(f"c must be >= 3, got {self.c!r}")
-        if not isinstance(self.n_points, int) or self.n_points < 2:
-            raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
-        if self.k_override is not None and (
-            not isinstance(self.k_override, int) or self.k_override < 1
-        ):
-            raise ValueError(f"k_override must be a positive integer, got {self.k_override!r}")
-
-    def target_dimension(self) -> int:
-        if self.k_override is not None:
-            return self.k_override
-        return plan_dimension(self.epsilon, self.n_points, self.c).k
-
-
 def build_projection(
     k: int, d: int, seed: RngSeed, max_entries: int = MAX_ENTRIES
 ) -> ProjectionMatrix:
@@ -118,35 +84,19 @@ def build_projection(
     return ProjectionMatrix(k=k, d=d, entries=entries, seed=seed)
 
 
-def project(matrix: ProjectionMatrix, v: np.ndarray) -> SketchedPoint:
-    """Sketch one point: the plain matrix-vector product F v."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != matrix.d:
-        raise ValueError(f"point must be a vector of length {matrix.d}, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("point coordinates must be finite")
-    return SketchedPoint(matrix.entries @ v)
+def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
+    """Sketch an (N, d) point set into the (N, k) array X F^T, in input order.
 
-
-def estimate_l1(u: SketchedPoint, v: SketchedPoint) -> float:
-    """Estimate ||x - y||_1 from two sketches: mu_inverse of their rho.
-
-    When the planned concentration band holds, the estimate is within a
-    factor 1 +- epsilon of the true distance at large scales, and within
-    the image of the (1 +- epsilon) mu-band at small ones.
+    F is build_projection(k, d, seed), shared by every point. Raises
+    ValueError when a product overflows: finite points can still produce
+    an infinite sketch coordinate, which no distance could be read from.
     """
-    return mu_inverse(rho(u, v))
-
-
-def sketch_dataset(
-    points, cfg: SketchConfig, seed: RngSeed
-) -> tuple[ProjectionMatrix, list[SketchedPoint]]:
-    """Sketch a point set with one shared projection, in input order."""
     arr = _as_point_array(points)
-    if arr.shape[0] != cfg.n_points:
-        raise ValueError(f"got {arr.shape[0]} points but config says n_points={cfg.n_points}")
-    matrix = build_projection(cfg.target_dimension(), arr.shape[1], seed)
-    return matrix, [project(matrix, row) for row in arr]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = arr @ build_projection(k, arr.shape[1], seed).entries.T
+    if not np.isfinite(coords).all():
+        raise ValueError("sketch coordinates overflow float64; rescale the points")
+    return coords
 
 
 def regime_tag(estimate: float, epsilon: float, lambda0: float | None = None) -> str:
@@ -165,7 +115,7 @@ def regime_tag(estimate: float, epsilon: float, lambda0: float | None = None) ->
         raise ValueError(f"estimate must be >= 0, got {estimate!r}")
     if estimate == 0.0:
         return "really-small"
-    kind = classify_scale(estimate, epsilon).kind
+    kind = classify_scale(estimate, epsilon)
     if kind != "really_small":
         return kind
     if lambda0 is not None and estimate <= lambda0:

@@ -1,6 +1,6 @@
 """Real-valued special functions: polylogarithms Li_b, the inverse tangent
-integral Ti_2, the Legendre chi function, and atanh, together with the
-functional equations relating them.
+integral Ti_2, and atanh, together with the functional equations relating
+them.
 
 Everything here is evaluated in 64-bit floats to near machine precision.
 Evaluation strategy per function:
@@ -25,7 +25,6 @@ __all__ = [
     "li",
     "dilog_reflection_residual",
     "ti2",
-    "chi",
 ]
 
 # Series termination: stop once a term is below this fraction of the partial
@@ -195,17 +194,3 @@ def ti2(x: float, tol: float = 1e-14) -> float:
         j += 1
         if j > 5_000_000:
             raise ArithmeticError(f"ti2 series did not converge for x={x}")
-
-
-def chi(b: float, x: float) -> float:
-    """Legendre chi function chi_b(x) = (Li_b(x) - Li_b(-x)) / 2 on (-1, 1).
-
-    Odd in x; splits the polylogarithm as Li_b(x) = chi_b(x) + 2^-b Li_b(x^2).
-    """
-    b = _require_finite("b", b)
-    x = _require_finite("x", x)
-    if abs(x) >= 1.0:
-        raise ValueError(f"chi requires |x| < 1, got {x!r}")
-    if b <= 0.0:
-        raise ValueError("chi requires b > 0")
-    return 0.5 * (li(b, x) - li(b, -x))

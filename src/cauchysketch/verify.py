@@ -217,7 +217,7 @@ def _band(lam: float, epsilon: float) -> tuple[float, float]:
     # below sqrt(1+eps) the target is the symmetric (1 +- eps) mu band.
     # For lambda <= 8 eps^2 the upper side of that band is informational
     # only (no proven bound), but it is still the quantity to measure.
-    if classify_scale(lam, epsilon).kind == "large":
+    if classify_scale(lam, epsilon) == "large":
         return mu(lam / (1.0 + epsilon)), mu((1.0 + epsilon) * lam)
     center = mu(lam)
     return (1.0 - epsilon) * center, (1.0 + epsilon) * center
@@ -568,7 +568,9 @@ def _suite_stability(seed: RngSeed, trials: int | None) -> VerificationReport:
     cases.append(_bound_case("cdf_abs + survival_abs = 1 on log grid", worst, 0.0, 1e-15))
     if trials != 0:
         n = 100_000 if trials is None else trials
-        critical = ks_critical_value(n, 0.01)
+        # 10 combination statistics and 1 raw-draw statistic share a
+        # family-wise level of 1% (Bonferroni), not 1% each.
+        critical = ks_critical_value(n, 0.01 / 11)
         vec_rng = make_generator(_subseed(seed, 103))
         for i in range(10):
             dim = int(vec_rng.integers(2, 50))

@@ -14,7 +14,6 @@ from cauchysketch.cauchy import (
     cdf_abs,
     ks_critical_value,
     ks_statistic,
-    ks_statistic_two_sample,
     make_generator,
     sample_standard_cauchy,
     stable_combination,
@@ -157,20 +156,20 @@ class TestKolmogorovSmirnov:
         assert ks_statistic(samples, cdf_abs) == pytest.approx(0.5 / n, abs=1e-12)
 
     def test_critical_value_table(self):
-        assert ks_critical_value(10_000, 0.01) == pytest.approx(1.628 / 100.0, rel=1e-12)
-        assert ks_critical_value(2_500, 0.05) == pytest.approx(1.358 / 50.0, rel=1e-12)
-        with pytest.raises(ValueError):
-            ks_critical_value(100, 0.2)
+        # c(level) = sqrt(-ln(level/2)/2): the tabulated 1.6276 at 1% and
+        # 1.3581 at 5%, and any other level in (0, 1)
+        assert ks_critical_value(10_000, 0.01) == pytest.approx(1.6276 / 100.0, rel=5e-5)
+        assert ks_critical_value(2_500, 0.05) == pytest.approx(1.3581 / 50.0, rel=5e-5)
+        level = 0.01 / 11
+        assert ks_critical_value(100_000, level) == pytest.approx(
+            math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(100_000), rel=1e-15
+        )
+        assert ks_critical_value(100_000, level) == pytest.approx(0.00620, abs=1e-5)
+        for bad in (0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                ks_critical_value(100, bad)
         with pytest.raises(ValueError):
             ks_critical_value(0, 0.01)
-
-    def test_two_sample_statistic(self):
-        a = np.array([0.1, 0.2, 0.3])
-        b = np.array([0.4, 0.5, 0.6])
-        # Disjoint supports: the empirical cdfs reach a full gap of 1.
-        assert ks_statistic_two_sample(a, b) == pytest.approx(1.0)
-        same = sample_standard_cauchy(make_generator(SEED), size=2000)
-        assert ks_statistic_two_sample(same, same) == pytest.approx(0.0, abs=1e-15)
 
     @given(st.integers(2, 50))
     def test_statistic_bounds(self, n):

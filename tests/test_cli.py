@@ -1,12 +1,20 @@
 """The command-line surface: exit codes, file contracts, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cauchysketch.cli import main
+from cauchysketch.concentration import plan_dimension
 from cauchysketch.sketch import read_binary_matrix, write_binary_matrix
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 POINTS_CSV = "0.0,0.0\n1.0,2.5\n-0.5,1.0\n4.0,-1.0\n"
 
@@ -108,6 +116,44 @@ class TestSketch:
              "--epsilon", "0.5"]
         ) == 2
 
+    def test_rejected_parameters_exit_2(self, dataset, tmp_path):
+        # --k skips the planner, not the parameter ranges; a repeated flag
+        # overrides the value given before it
+        out = tmp_path / "r.bin"
+        for flags in (["--epsilon", "0.3"], ["--epsilon", "0"], ["--c", "2.5"], ["--c", "nan"],
+                      ["--k", "0"], ["--k", "-3"]):
+            assert main(["sketch", "--input", dataset, "--output", str(out),
+                         "--epsilon", "0.25", "--k", "16", *flags]) == 2, flags
+            assert not out.exists()
+
+    def test_planned_k_without_flag(self, dataset, tmp_path):
+        out = str(tmp_path / "planned.bin")
+        assert main(["sketch", "--input", dataset, "--output", out, "--epsilon", "0.25"]) == 0
+        k = plan_dimension(0.25, 4, 3.0).k
+        assert read_binary_matrix(out).shape == (4, k)
+        assert json.loads(open(out + ".json").read())["k"] == k
+
+    def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
+        # N x d times d x k is large enough for BLAS to split the product
+        # over threads; the sketch must not depend on how it was split.
+        points = str(tmp_path / "wide.bin")
+        rng = np.random.default_rng(3)
+        write_binary_matrix(points, rng.standard_normal((64, 1024)))
+        blobs = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"sk{threads}.bin")
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+            done = subprocess.run(
+                [sys.executable, "-m", "cauchysketch.cli", "sketch", "--input", points,
+                 "--format", "bin", "--output", out, "--epsilon", "0.25", "--k", "1024",
+                 "--seed", "11"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            blobs.append(open(out, "rb").read())
+        assert blobs[0] == blobs[1]
+
 
 class TestEstimate:
     def test_all_pairs_with_regime_tags(self, dataset, tmp_path, capsys):
@@ -144,8 +190,6 @@ class TestEstimate:
     def test_missing_or_broken_sidecar_exits_3(self, dataset, tmp_path):
         sk = run_sketch(dataset, tmp_path)
         meta = sk + ".json"
-        import os
-
         os.remove(meta)
         assert main(["estimate", "--input", sk]) == 3
         with open(meta, "w") as fh:
@@ -154,6 +198,33 @@ class TestEstimate:
         with open(meta, "w") as fh:
             json.dump({"k": 400}, fh)
         assert main(["estimate", "--input", sk]) == 3
+        good = {"k": 400, "n_points": 4, "epsilon": 0.25, "c": 3.0}
+        for broken in ({"k": "abc"}, {"k": None}, {"k": 400.0}, {"k": True}, {"k": 0},
+                       {"n_points": 2.5}, {"n_points": 1}, {"c": "x"}, {"c": 2.0},
+                       {"c": math.nan}, {"epsilon": 0.9}, {"epsilon": "0.25"}, {"epsilon": 0}):
+            with open(meta, "w") as fh:
+                json.dump({**good, **broken}, fh)
+            assert main(["estimate", "--input", sk]) == 3, broken
+        for not_an_object in ("5", "[1, 2]", '"k"'):
+            with open(meta, "w") as fh:
+                fh.write(not_an_object)
+            assert main(["estimate", "--input", sk]) == 3, not_an_object
+        with open(meta, "w") as fh:
+            json.dump(good, fh)
+        assert main(["estimate", "--input", sk]) == 0
+
+    @pytest.mark.parametrize("scale", ["1e160", "1e200"])
+    def test_distances_past_lambda_squared_overflow(self, tmp_path, capsys, scale):
+        path = tmp_path / "far.csv"
+        path.write_text(f"0.0,0.0\n{scale},-{scale}\n")
+        sk = run_sketch(str(path), tmp_path)
+        capsys.readouterr()
+        assert main(["estimate", "--input", sk]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        estimate = float(row[3])
+        assert math.isfinite(estimate)
+        assert abs(estimate / (2.0 * float(scale)) - 1.0) < 0.25
+        assert row[4] == "large"
 
 
 class TestVerifyCommand:
@@ -167,7 +238,7 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "astrology"]) == 2
 
     def test_gated_failure_exits_1(self, capsys):
-        # seed 0 at 2000 trials puts two KS statistics just over the 1%
+        # seed 0 at 2000 trials puts one KS statistic just over its
         # critical value; a deterministic stand-in for a genuine failure
         assert main(["verify", "--suite", "stability", "--trials", "2000",
                      "--seed", "0"]) == 1

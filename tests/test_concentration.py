@@ -13,7 +13,6 @@ from cauchysketch.concentration import (
     A_SMALL_UPPER_EXACT,
     InfeasibleParameterError,
     RegimeError,
-    ScaleRegime,
     V_SQUARED,
     chernoff_rate_large,
     chernoff_rate_small,
@@ -209,21 +208,15 @@ class TestExponentOptimizers:
             u_star_small_upper(0.25, 0.4)
 
 
-class TestScaleRegimes:
+class TestClassifyScale:
     def test_kinds(self):
         eps = 0.25
-        assert classify_scale(2.0, eps).kind == "large"
-        assert classify_scale(math.sqrt(1.25), eps).kind == "large"  # boundary included
-        assert classify_scale(1.0, eps).kind == "small"
-        assert classify_scale(0.5, eps).kind == "really_small"  # 8 eps^2 included
-        assert classify_scale(0.51, eps).kind == "small"
-        assert classify_scale(1e-12, eps).kind == "really_small"
-
-    def test_regime_object_validates_kind(self):
-        regime = classify_scale(2.0, 0.25)
-        assert isinstance(regime, ScaleRegime)
-        with pytest.raises(ValueError):
-            ScaleRegime(kind="small", lam=2.0, epsilon=0.25)
+        assert classify_scale(2.0, eps) == "large"
+        assert classify_scale(math.sqrt(1.25), eps) == "large"  # boundary included
+        assert classify_scale(1.0, eps) == "small"
+        assert classify_scale(0.5, eps) == "really_small"  # 8 eps^2 included
+        assert classify_scale(0.51, eps) == "small"
+        assert classify_scale(1e-12, eps) == "really_small"
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 sandwich, and the mean-map inverse."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from hypothesis import strategies as st
 
 from cauchysketch.moments import (
     DeviationPair,
-    MomentProfile,
     deviations,
     expected_log1p,
-    moment_profile,
     mu,
     mu_derivative,
     mu_inverse,
@@ -148,17 +147,6 @@ class TestSecondMoment:
         with pytest.raises(ValueError):
             second_moment_ratio_bound(0.0)
 
-    def test_profile_wiring(self):
-        profile = moment_profile(1.0)
-        assert isinstance(profile, MomentProfile)
-        assert profile.lam == 1.0
-        assert profile.mu == mu(1.0)
-        assert profile.log_mean == expected_log1p(1.0)
-        assert profile.second_moment_upper == second_moment_upper(1.0)
-        assert profile.variance_upper == pytest.approx(
-            second_moment_upper(1.0) - mu(1.0) ** 2
-        )
-
 
 class TestDeviations:
     @pytest.mark.parametrize("a", [1.05, 1.1, 1.25])
@@ -199,6 +187,18 @@ class TestMuInverse:
     def test_round_trip_extremes(self):
         for lam in (1e-12, 1e12):
             assert mu_inverse(mu(lam)) == pytest.approx(lam, rel=1e-9)
+
+    def test_round_trip_past_lambda_squared_overflow(self):
+        # lambda^2 overflows above ~1.3e154 and expm1(2m) above m ~ 354.9
+        for lam in np.geomspace(1e150, 1e300, 301):
+            lam = float(lam)
+            assert mu_inverse(mu(lam)) == pytest.approx(lam, rel=1e-9)
+            assert mu_derivative(lam) == pytest.approx(1.0 / lam, rel=1e-6)
+        top = mu(sys.float_info.max)
+        assert top == pytest.approx(math.log(sys.float_info.max), rel=1e-15)
+        assert mu_inverse(top) == pytest.approx(sys.float_info.max, rel=1e-9)
+        with pytest.raises(ValueError):
+            mu_inverse(math.nextafter(top, math.inf))
 
     @given(st.floats(1e-6, 20.0))
     def test_monotone(self, m):

@@ -8,14 +8,12 @@ import pytest
 
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
 from cauchysketch.metric import rho
+from cauchysketch.moments import mu_inverse
 from cauchysketch.sketch import (
     MAX_ENTRIES,
     DatasetFormatError,
     ProjectionMatrix,
-    SketchConfig,
     build_projection,
-    estimate_l1,
-    project,
     read_binary_matrix,
     read_csv_matrix,
     read_points,
@@ -61,72 +59,49 @@ class TestProjection:
 
 class TestProjectAndEstimate:
     def test_project_is_matrix_vector(self):
-        m = build_projection(6, 3, SEED)
-        v = np.array([1.0, -1.0, 2.0])
-        p = project(m, v)
-        assert np.allclose(p.coords, m.entries @ v)
-        assert p.k == 6
+        # One product X F^T; each row equals the matrix-vector product F x
+        # up to the rounding of a differently ordered sum.
+        rng = make_generator(RngSeed(5, 12))
+        points = rng.standard_normal((8, 300))
+        coords = sketch_dataset(points, 200, SEED)
+        entries = build_projection(200, 300, SEED).entries
+        for row, x in zip(coords, points):
+            scale = np.abs(entries) @ np.abs(x)
+            assert np.all(np.abs(row - entries @ x) <= 1e-14 * scale)
 
     def test_project_validation(self):
-        m = build_projection(6, 3, SEED)
         with pytest.raises(ValueError):
-            project(m, np.ones(4))
+            sketch_dataset([[1.0, math.nan, 0.0], [0.0, 0.0, 0.0]], 6, SEED)
         with pytest.raises(ValueError):
-            project(m, np.array([1.0, math.nan, 0.0]))
+            sketch_dataset(np.ones((2, 3)), 0, SEED)
+        # finite points whose sketch overflows float64
+        with pytest.raises(ValueError):
+            sketch_dataset([[1e308, 1e308], [0.0, 0.0]], 64, SEED)
 
     def test_identical_points_estimate_zero(self):
-        m = build_projection(16, 3, SEED)
-        v = np.array([0.3, -2.0, 1.0])
-        assert estimate_l1(project(m, v), project(m, v)) == 0.0
+        v = [0.3, -2.0, 1.0]
+        coords = sketch_dataset([v, v], 16, SEED)
+        assert mu_inverse(rho(coords[0], coords[1])) == 0.0
 
     def test_estimate_near_truth_at_large_k(self):
         # one seeded pair at k = 4000: the estimate should sit well inside
         # the eps = 0.25 band around the true l1 distance
-        m = build_projection(4000, 4, SEED)
         x = np.array([1.0, 0.0, -2.0, 0.5])
         y = np.array([0.0, 1.0, 0.0, 0.0])
+        coords = sketch_dataset([x, y], 4000, SEED)
         truth = float(np.sum(np.abs(x - y)))
-        estimate = estimate_l1(project(m, x), project(m, y))
+        estimate = mu_inverse(rho(coords[0], coords[1]))
         assert abs(estimate - truth) / truth < 0.1
 
     def test_sketch_dataset_order_and_shared_matrix(self):
         points = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
-        cfg = SketchConfig(epsilon=0.25, c=3.0, n_points=3, k_override=32)
-        matrix, sketches = sketch_dataset(points, cfg, SEED)
-        assert matrix.k == 32
-        assert len(sketches) == 3
-        for row, sk in zip(points, sketches):
-            assert np.allclose(sk.coords, matrix.entries @ row)
-
-    def test_sketch_dataset_count_mismatch(self):
-        cfg = SketchConfig(epsilon=0.25, c=3.0, n_points=4, k_override=8)
-        with pytest.raises(ValueError):
-            sketch_dataset(np.ones((3, 2)), cfg, SEED)
+        coords = sketch_dataset(points, 32, SEED)
+        assert coords.shape == (3, 32) and coords.dtype == np.float64
+        np.testing.assert_array_equal(coords, points @ build_projection(32, 2, SEED).entries.T)
 
     def test_sketch_dataset_ragged_rows(self):
-        cfg = SketchConfig(epsilon=0.25, c=3.0, n_points=2, k_override=8)
         with pytest.raises(ValueError):
-            sketch_dataset([[1.0, 2.0], [3.0]], cfg, SEED)
-
-
-class TestSketchConfig:
-    def test_target_dimension_override(self):
-        cfg = SketchConfig(epsilon=0.25, c=3.0, n_points=100, k_override=77)
-        assert cfg.target_dimension() == 77
-
-    def test_target_dimension_planned(self):
-        cfg = SketchConfig(epsilon=0.25, c=3.0, n_points=100)
-        assert cfg.target_dimension() == 338846  # same as the planner's k
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SketchConfig(epsilon=0.3, c=3.0, n_points=10)
-        with pytest.raises(ValueError):
-            SketchConfig(epsilon=0.25, c=2.0, n_points=10)
-        with pytest.raises(ValueError):
-            SketchConfig(epsilon=0.25, c=3.0, n_points=1)
-        with pytest.raises(ValueError):
-            SketchConfig(epsilon=0.25, c=3.0, n_points=10, k_override=0)
+            sketch_dataset([[1.0, 2.0], [3.0]], 8, SEED)
 
 
 class TestRegimeTag:
@@ -267,17 +242,13 @@ class TestEndToEndAccuracy:
         # for a seeded draw (failure probability at this k is ~1e-3).
         rng = make_generator(RngSeed(5, 11))
         points = rng.standard_normal((4, 6)) * 3.0
-        cfg = SketchConfig(epsilon=0.25, c=3.0, n_points=4, k_override=2000)
-        matrix, sketches = sketch_dataset(points, cfg, SEED)
+        coords = sketch_dataset(points, 2000, SEED)
         for i in range(4):
             for j in range(i + 1, 4):
                 truth = float(np.sum(np.abs(points[i] - points[j])))
-                estimate = estimate_l1(sketches[i], sketches[j])
+                estimate = mu_inverse(rho(coords[i], coords[j]))
                 assert (1.0 - 0.25) * truth <= estimate <= (1.0 + 0.25) * truth
 
     def test_rho_symmetric_across_dataset(self):
-        cfg = SketchConfig(epsilon=0.25, c=3.0, n_points=3, k_override=64)
-        _, sketches = sketch_dataset(np.eye(3), cfg, SEED)
-        assert rho(sketches[0], sketches[1]) == pytest.approx(
-            rho(sketches[1], sketches[0]), abs=1e-15
-        )
+        coords = sketch_dataset(np.eye(3), 64, SEED)
+        assert rho(coords[0], coords[1]) == pytest.approx(rho(coords[1], coords[0]), abs=1e-15)

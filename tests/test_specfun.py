@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cauchysketch.specfun import (
     atanh_add_arg,
     atanh_eval,
-    chi,
     dilog_reflection_residual,
     li,
     ti2,
@@ -26,7 +25,6 @@ LI2_HALF = 0.5822405264650125059
 LI_3HALVES_03 = 0.33831109554480628354
 LI3_MINUS_07 = -0.64866632128523549351
 LI2_MINUS_ONE = -0.82246703342411321824  # -pi^2/12
-CHI2_HALF = 0.51532736669432935417
 
 
 class TestAtanh:
@@ -141,21 +139,3 @@ class TestTi2:
         with pytest.raises(ValueError):
             ti2(math.inf)
 
-
-class TestChi:
-    def test_frozen_value(self):
-        assert chi(2.0, 0.5) == pytest.approx(CHI2_HALF, abs=1e-14)
-
-    @given(st.floats(-0.9, 0.9))
-    def test_odd(self, x):
-        assert chi(2.0, x) == pytest.approx(-chi(2.0, -x), abs=1e-14)
-
-    @given(st.floats(0.05, 0.9), st.sampled_from([1.5, 2.0, 3.0]))
-    def test_splits_polylog(self, x, b):
-        assert li(b, x) == pytest.approx(chi(b, x) + 2.0**-b * li(b, x * x), abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            chi(2.0, 1.0)
-        with pytest.raises(ValueError):
-            chi(0.0, 0.5)
