@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
 from cauchysketch.metric import rho, xi, xi_small_envelope
+from cauchysketch.sketch import sketch_dataset
 
 SEED = RngSeed(20240817, 0)
 
@@ -63,6 +64,25 @@ class TestXi:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             xi(-1e-9)
+
+
+class TestSketchedPoint:
+    """A sketched point is one row of the (N, k) array sketch_dataset returns."""
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            sketch_dataset([[1.0, math.inf], [0.0, 0.0]], 4, SEED)
+        with pytest.raises(ValueError):
+            sketch_dataset([[math.nan, 0.0], [0.0, 0.0]], 4, SEED)
+        # finite points whose sketch row would hold an infinite coordinate
+        with pytest.raises(ValueError):
+            sketch_dataset([[1e308, 1e308], [0.0, 0.0]], 64, SEED)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            rho(np.array([]), np.array([]))
+        with pytest.raises(ValueError):
+            sketch_dataset([[], []], 4, SEED)
 
 
 class TestRho:

@@ -1,12 +1,14 @@
 """Projection construction, sketching, distance estimation, regime tags,
 and the dataset file formats."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
+from cauchysketch.cli import main
 from cauchysketch.metric import rho
 from cauchysketch.moments import mu_inverse
 from cauchysketch.sketch import (
@@ -102,6 +104,22 @@ class TestProjectAndEstimate:
     def test_sketch_dataset_ragged_rows(self):
         with pytest.raises(ValueError):
             sketch_dataset([[1.0, 2.0], [3.0]], 8, SEED)
+
+
+class TestSketchConfig:
+    def test_target_dimension_override(self, tmp_path):
+        # --k replaces the planned dimension (338846 at eps = 0.25, N = 100, c = 3)
+        rng = make_generator(RngSeed(5, 13))
+        dataset = tmp_path / "points.bin"
+        write_binary_matrix(str(dataset), rng.standard_normal((100, 3)))
+        out = str(tmp_path / "sk.bin")
+        code = main(
+            ["sketch", "--input", str(dataset), "--format", "bin", "--output", out,
+             "--epsilon", "0.25", "--c", "3", "--k", "77"]
+        )
+        assert code == 0
+        assert read_binary_matrix(out).shape == (100, 77)
+        assert json.loads(open(out + ".json").read())["k"] == 77
 
 
 class TestRegimeTag:
