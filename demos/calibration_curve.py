@@ -43,5 +43,6 @@ print()
 
 rng = np.random.default_rng(11)
 lams = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=1000))
-worst = max(abs(mu_inverse(mu(float(l))) - float(l)) / float(l) for l in lams)
+round_trip = mu_inverse(np.array([mu(float(l)) for l in lams]))
+worst = float(np.max(np.abs(round_trip - lams) / lams))
 print(f"inverse round trip over 1000 random scales: worst rel error {worst:.2e}")

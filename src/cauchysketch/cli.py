@@ -21,6 +21,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .cauchy import GENERATOR_NAME, RngSeed
 from .concentration import max_abs_plan, plan_dimension
@@ -37,6 +39,10 @@ from .sketch import (
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
+
+# Cap on the pair differences one rho call takes: 128 KB of float64 per
+# temporary, which keeps the xi passes in cache.
+_BLOCK_ELEMENTS = 16_384
 
 _REGIME_ORDER = ("large-upper", "large-lower", "small-upper", "small-lower", "really-small-lower")
 
@@ -83,6 +89,7 @@ def cmd_sketch(args: argparse.Namespace, seed: RngSeed) -> int:
         raise DatasetFormatError(f"need at least 2 points to sketch, got {n}")
     k = args.k if args.k is not None else plan_dimension(args.epsilon, n, args.c).k
     _check_sketch_parameters(k, n, args.epsilon, args.c)
+    max_abs_plan(k, args.epsilon, n, args.c)  # so that estimate can plan lambda0 for this sketch
     coords = sketch_dataset(points, k, seed)
     write_binary_matrix(args.output, coords)
     metadata = {
@@ -130,20 +137,40 @@ def cmd_estimate(args: argparse.Namespace, seed: RngSeed) -> int:
             f"sketch shape {coords.shape} does not match metadata (n_points={n}, k={k})"
         )
     lambda0 = max_abs_plan(k, epsilon, n, c).lambda0
-    lines = ["i,j,rho,estimate,regime"]
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = rho(coords[i], coords[j])
-            estimate = mu_inverse(r)
-            lines.append(f"{i},{j},{r!r},{estimate!r},{regime_tag(estimate, epsilon, lambda0)}")
-    body = "\n".join(lines) + "\n"
+    # Row i against rows i+1.. in blocks of at most _BLOCK_ELEMENTS
+    # differences; each block is one rho call.
+    block_rows = max(1, _BLOCK_ELEMENTS // k)
+    rhos = np.empty(n * (n - 1) // 2)
+    done = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n, block_rows):
+            block = rho(coords[j : j + block_rows], coords[i])
+            rhos[done : done + block.size] = block
+            done += block.size
+    estimates = mu_inverse(rhos)
+    tags = regime_tag(estimates, epsilon, lambda0)
+    table = _pair_table(n, rhos, estimates, tags)
     if args.output:
         with open(args.output, "w") as handle:
-            handle.write(body)
+            handle.writelines(table)
         print(f"wrote {n * (n - 1) // 2} pair estimates to {args.output}")
     else:
-        sys.stdout.write(body)
+        sys.stdout.writelines(table)
     return 0
+
+
+def _pair_table(n, rhos, estimates, tags):
+    """The CSV pair table, one chunk per row i, from the pair arrays in
+    row-major i < j order; one chunk at a time holds its strings."""
+    yield "i,j,rho,estimate,regime\n"
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        columns = (rhos[start:stop].tolist(), estimates[start:stop].tolist(), tags[start:stop].tolist())
+        yield "".join(
+            f"{i},{j},{r!r},{e!r},{tag}\n" for j, r, e, tag in zip(range(i + 1, n), *columns)
+        )
+        start = stop
 
 
 def cmd_verify(args: argparse.Namespace, seed: RngSeed) -> int:

@@ -246,15 +246,22 @@ def classify_scale(lam: float, epsilon: float) -> str:
     lambda <= 8 eps^2 (boundary included, matching the strict inequality
     in the small-regime hypotheses).
     """
-    epsilon = _check_epsilon(epsilon)
+    large_from, small_above = _scale_cutoffs(epsilon)
     lam = float(lam)
     if lam <= 0.0 or math.isnan(lam):
         raise ValueError(f"lambda must be > 0, got {lam!r}")
-    if lam >= math.sqrt(1.0 + epsilon):
+    if lam >= large_from:
         return "large"
-    if lam > 8.0 * epsilon**2:
+    if lam > small_above:
         return "small"
     return "really_small"
+
+
+def _scale_cutoffs(epsilon: float) -> tuple[float, float]:
+    # (sqrt(1+eps), 8 eps^2): lambda >= the first is large, lambda above
+    # the second and below the first is small.
+    epsilon = _check_epsilon(epsilon)
+    return math.sqrt(1.0 + epsilon), 8.0 * epsilon**2
 
 
 @dataclass(frozen=True)

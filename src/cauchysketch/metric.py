@@ -32,20 +32,42 @@ def xi(a):
     return float(out) if out.ndim == 0 else out
 
 
-def rho(u: np.ndarray, v: np.ndarray) -> float:
+def _xi_inplace(a: np.ndarray) -> np.ndarray:
+    # xi of a float64 array a >= 0, written over a: one temporary instead
+    # of four, and the same operations on the same operands as xi, so the
+    # same bits. xi keeps its own expression, which is cheaper on the
+    # small and 0-d arrays the oracles pass it.
+    root = np.sqrt(a)
+    np.log1p(root, out=root)
+    np.log1p(a, out=a)
+    a *= 0.5
+    a += root
+    return a
+
+
+def rho(u, v):
     """Target metric rho(u, v) = mean of xi over |u_i - v_i|.
 
-    u and v are two sketch rows: nonempty 1-d arrays of equal length.
-    Symmetric, zero exactly on equal points, triangle inequality via the
-    concavity of xi, and translation invariant since only differences
-    enter. numpy's pairwise (fixed-block tree) reduction keeps the mean
-    accurate and bit-stable for large k.
+    v is one sketch row, a nonempty 1-d array. u is a row of the same
+    length, which gives a float, or an (m, k) stack of rows, which gives
+    the m values rho(u[j], v) as an array, each with the same bits as the
+    row-by-row call. Symmetric, zero exactly on equal points, triangle
+    inequality via the concavity of xi, and translation invariant since
+    only differences enter. numpy's pairwise (fixed-block tree) reduction
+    keeps the mean accurate and bit-stable for large k.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or u.size == 0 or u.shape != v.shape:
-        raise ValueError(f"rho needs nonempty 1-d arrays of equal length, got {u.shape}, {v.shape}")
-    return float(np.mean(xi(np.abs(u - v))))
+    if v.ndim != 1 or v.size == 0 or u.ndim not in (1, 2) or u.shape[-1] != v.size:
+        raise ValueError(
+            f"rho needs a nonempty 1-d row v and a row or stack of rows u of its length, "
+            f"got {u.shape}, {v.shape}"
+        )
+    means = np.mean(_xi_inplace(np.abs(u - v)), axis=-1)
+    # |u - v| is >= 0 or NaN, and a NaN coordinate makes its mean NaN.
+    if np.isnan(means).any():
+        raise ValueError("xi requires a >= 0")
+    return float(means) if means.ndim == 0 else means
 
 
 def xi_small_envelope(a: float) -> tuple[float, float]:

@@ -22,6 +22,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import atanh_eval, ti2
 
 __all__ = [
@@ -85,6 +87,50 @@ def mu_derivative(lam: float) -> float:
         numerator = (1.0 - lam) / (_SQRT2 * math.sqrt(lam)) + lam
         return (numerator / lam) / (lam + 1.0 / lam)
     return ((1.0 - lam) / math.sqrt(2.0 * lam) + lam) / (1.0 + lam * lam)
+
+
+def _mu_np(lam: np.ndarray) -> np.ndarray:
+    # numpy twin of mu for an array of lambda >= 0, same closed form and
+    # branches. np.log1p differs from math.log1p in the last bit on some
+    # inputs, so this stays within 1e-15 relative of mu without matching
+    # its bits; mu keeps math.log1p for the planner and the oracles.
+    def below(lam):
+        return _atanh_np(np.sqrt(2.0 * lam) / (1.0 + lam)) + 0.5 * np.log1p(lam * lam)
+
+    def above(lam):
+        return _atanh_np(_SQRT2 * np.sqrt(lam) / (1.0 + lam)) + (
+            np.log(lam) + 0.5 * np.log1p((1.0 / lam) ** 2)
+        )
+
+    return _by_scale(lam, below, above)
+
+
+def _mu_derivative_np(lam: np.ndarray) -> np.ndarray:
+    # numpy twin of mu_derivative for an array of lambda > 0.
+    def below(lam):
+        return ((1.0 - lam) / np.sqrt(2.0 * lam) + lam) / (1.0 + lam * lam)
+
+    def above(lam):
+        numerator = (1.0 - lam) / (_SQRT2 * np.sqrt(lam)) + lam
+        return (numerator / lam) / (lam + 1.0 / lam)
+
+    return _by_scale(lam, below, above)
+
+
+def _atanh_np(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (np.log1p(x) - np.log1p(-x))
+
+
+def _by_scale(lam: np.ndarray, below, above) -> np.ndarray:
+    # below(lam) where lam <= _LARGE_LAMBDA, above(lam) elsewhere; neither
+    # sees the other's elements, so lambda^2 never overflows.
+    large = lam > _LARGE_LAMBDA
+    if not large.any():
+        return below(lam)
+    out = np.empty_like(lam)
+    out[~large] = below(lam[~large])
+    out[large] = above(lam[large])
+    return out
 
 
 def expected_log1p(lam: float) -> float:
@@ -187,57 +233,104 @@ def deviations(lam: float, epsilon: float) -> DeviationPair:
     )
 
 
-def mu_inverse(m: float, rtol: float = 1e-12, max_iter: int = 200) -> float:
+def mu_inverse(m, rtol: float = 1e-12, max_iter: int = 200):
     """Inverse of the mean map: the lambda with mu(lambda) = m.
 
-    Bracketed bisection seeded by the small-scale inverse (lambda ~ m^2/2)
-    and the large-scale asymptote (ln(1 + lambda^2)/2 ~ m), refined by
-    Newton steps that fall back to bisection whenever they leave the
-    bracket. Round-trips mu to better than 1e-10 relative up to lambda
-    ~ 1e6 and 1e-9 up to the largest float; m above mu(float max)
-    ~ 709.78 has no finite inverse and raises ValueError.
+    Takes a float, which gives a float, or an array, which gives an array
+    of its shape; each element is solved on its own, so the array and the
+    scalar call agree element by element. Bracketed bisection seeded by
+    the small-scale inverse (lambda ~ m^2/2) and the large-scale asymptote
+    (ln(1 + lambda^2)/2 ~ m), refined by Newton steps that fall back to
+    bisection whenever they leave the bracket. Round-trips mu to better
+    than 1e-10 relative up to lambda ~ 1e6 and 1e-9 up to the largest
+    float; m above mu(float max) ~ 709.78 has no finite inverse and
+    raises ValueError. Below mu(5e-324) ~ 3.1e-162 the inverse is smaller
+    than the smallest positive float and is returned as that float, so
+    only m = 0 gives 0.
     """
-    m = float(m)
-    if math.isnan(m) or m < 0.0:
-        raise ValueError(f"mu_inverse requires m >= 0, got {m!r}")
-    if m > _MU_MAX:
-        raise ValueError(f"mu_inverse requires m <= mu(float max) = {_MU_MAX!r}, got {m!r}")
-    if m == 0.0:
-        return 0.0
+    arr = np.asarray(m, dtype=np.float64)
+    bad = np.isnan(arr) | (arr < 0.0)
+    if bad.any():
+        raise ValueError(f"mu_inverse requires m >= 0, got {float(arr[bad].flat[0])!r}")
+    bad = arr > _MU_MAX
+    if bad.any():
+        raise ValueError(
+            f"mu_inverse requires m <= mu(float max) = {_MU_MAX!r}, got {float(arr[bad].flat[0])!r}"
+        )
+    flat = arr.ravel()
+    lam = np.where(flat > 0.0, _TINY, 0.0)
+    solve = flat > _MU_TINY
+    if solve.any():
+        lam[solve] = _solve_mu(flat[solve], rtol, max_iter)
+    lam = lam.reshape(arr.shape)
+    return float(lam) if lam.ndim == 0 else lam
 
+
+def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
+    # mu(lambda) = m for a 1-d array of m in (mu(5e-324), mu(float max)].
     # Seeds: mu ~ sqrt(2 lambda) for small lambda, ~ ln(lambda) for large.
     # expm1(2m) overflows past m ~ 354.9; there e^(m+1) (or the largest
     # float) brackets instead, since mu(lambda) > ln(lambda).
     lo = 0.25 * m * m
-    if m < 350.0:
-        hi = max(2.0 * m * m, math.sqrt(math.expm1(2.0 * m)) + 1.0)
-    else:
-        hi = math.exp(m + 1.0) if m < 708.0 else sys.float_info.max
+    hi = np.full_like(m, sys.float_info.max)
+    below = m < 708.0
+    hi[below] = np.exp(m[below] + 1.0)
+    below = m < 350.0
+    hi[below] = np.maximum(2.0 * m[below] ** 2, np.sqrt(np.expm1(2.0 * m[below])) + 1.0)
+    over = _mu_np(lo) > m
     for _ in range(max_iter):
-        if mu(lo) <= m:
+        if not over.any():
             break
-        lo *= 0.25
+        lo[over] *= 0.25
+        over = _mu_np(lo) > m
+    under = _mu_np(hi) < m
     for _ in range(max_iter):
-        if mu(hi) >= m:
+        if not under.any():
             break
-        hi *= 4.0
-    if mu(lo) > m or mu(hi) < m:
-        raise ArithmeticError(f"mu_inverse failed to bracket m={m!r}")
+        hi[under] *= 4.0
+        under = _mu_np(hi) < m
+    unbracketed = over | under
+    if unbracketed.any():
+        raise ArithmeticError(f"mu_inverse failed to bracket m={float(m[unbracketed][0])!r}")
 
-    lam = min(max(0.5 * m * m, lo), hi)
+    # Newton from lambda far below the root gains only about
+    # ln(1 + m - ln(lambda)) a step on the logarithm-like mu: 70 steps
+    # from 0.5 m^2 at m = 320. From m = 2 on, start at hi/e instead,
+    # which the seeds put at e^(m-1) or e^m, next to the root.
+    lam = np.minimum(np.maximum(0.5 * m * m, lo), hi)
+    large = m >= 2.0
+    lam[large] = np.maximum(lo[large], hi[large] / math.e)
+
+    out = np.empty_like(m)
+    todo = np.arange(m.size)
+    # A Newton step that leaves lambda where it is means no float is
+    # closer; only subnormal lambda, where rtol is out of reach, gets there
+    # before the rtol test passes.
+    settled = np.zeros(m.shape, dtype=bool)
     for _ in range(max_iter):
-        f = mu(lam) - m
-        if abs(f) <= rtol * m:
-            return lam
-        if f > 0.0:
-            hi = lam
-        else:
-            lo = lam
-        step = lam - f / mu_derivative(lam)
-        # Newton, safeguarded: reject steps outside the current bracket.
-        lam = step if lo < step < hi else 0.5 * (lo + hi)
-    return lam
+        f = _mu_np(lam) - m
+        done = settled | (np.abs(f) <= rtol * m)
+        if done.any():
+            out[todo[done]] = lam[done]
+            left = ~done
+            todo, m, lam, lo, hi, f = todo[left], m[left], lam[left], lo[left], hi[left], f[left]
+            if not todo.size:
+                return out
+        over = f > 0.0
+        hi = np.where(over, lam, hi)
+        lo = np.where(over, lo, lam)
+        # Newton, safeguarded: reject steps outside the current bracket
+        # (an overflowing step is one of them).
+        with np.errstate(over="ignore"):
+            step = lam - f / _mu_derivative_np(lam)
+        settled = step == lam
+        lam = np.where(settled | ((lo < step) & (step < hi)), step, lo + 0.5 * (hi - lo))
+    out[todo] = lam
+    return out
 
 
 # Largest value of mu on finite lambda; mu_inverse has no finite answer above it.
 _MU_MAX = mu(sys.float_info.max)
+# Smallest positive float and its mu; mu_inverse maps (0, _MU_TINY] to it.
+_TINY = 5e-324
+_MU_TINY = mu(_TINY)

@@ -21,13 +21,12 @@ datasets and sketch output.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cauchy import RngSeed, make_generator, sample_standard_cauchy
-from .concentration import classify_scale
+from .concentration import _scale_cutoffs
 
 __all__ = [
     "DatasetFormatError",
@@ -90,16 +89,25 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
     F is build_projection(k, d, seed), shared by every point. Raises
     ValueError when a product overflows: finite points can still produce
     an infinite sketch coordinate, which no distance could be read from.
+    Raises it too when a column's max - min overflows, since that bounds
+    the difference of every pair of rows the estimate takes.
     """
     arr = _as_point_array(points)
     with np.errstate(over="ignore", invalid="ignore"):
         coords = arr @ build_projection(k, arr.shape[1], seed).entries.T
-    if not np.isfinite(coords).all():
-        raise ValueError("sketch coordinates overflow float64; rescale the points")
+        if not np.isfinite(coords).all():
+            raise ValueError("sketch coordinates overflow float64; rescale the points")
+        spread = coords.max(axis=0) - coords.min(axis=0)
+    if not np.isfinite(spread).all():
+        raise ValueError("sketch coordinates differ by more than float64 holds; rescale the points")
     return coords
 
 
-def regime_tag(estimate: float, epsilon: float, lambda0: float | None = None) -> str:
+# Indexed by the codes regime_tag computes.
+_REGIME_TAGS = ("large", "small", "really-small", "unproven-upper")
+
+
+def regime_tag(estimate, epsilon: float, lambda0: float | None = None):
     """Which guarantee covers a distance estimate: large / small /
     really-small / unproven-upper.
 
@@ -108,19 +116,21 @@ def regime_tag(estimate: float, epsilon: float, lambda0: float | None = None) ->
     between lambda0 and 8 eps^2 the upper tail is an open case
     (unproven-upper). Without a lambda0 the conservative tag is used.
     The classification uses the estimate itself since the true distance
-    is unknown.
+    is unknown. A float gives one tag; an array gives an object array of
+    its shape holding the tags.
     """
-    estimate = float(estimate)
-    if estimate < 0.0 or math.isnan(estimate):
-        raise ValueError(f"estimate must be >= 0, got {estimate!r}")
-    if estimate == 0.0:
-        return "really-small"
-    kind = classify_scale(estimate, epsilon)
-    if kind != "really_small":
-        return kind
-    if lambda0 is not None and estimate <= lambda0:
-        return "really-small"
-    return "unproven-upper"
+    est = np.asarray(estimate, dtype=np.float64)
+    bad = np.isnan(est) | (est < 0.0)
+    if bad.any():
+        raise ValueError(f"estimate must be >= 0, got {float(est[bad].flat[0])!r}")
+    large_from, small_above = _scale_cutoffs(epsilon)
+    proven_small = est == 0.0
+    if lambda0 is not None:
+        proven_small |= est <= lambda0
+    codes = np.select([est >= large_from, est > small_above, proven_small], [0, 1, 2], 3)
+    if codes.ndim == 0:
+        return _REGIME_TAGS[codes]
+    return np.array(_REGIME_TAGS, dtype=object)[codes]
 
 
 def _as_point_array(points) -> np.ndarray:

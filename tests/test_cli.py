@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from cauchysketch.cli import main
-from cauchysketch.concentration import plan_dimension
-from cauchysketch.sketch import read_binary_matrix, write_binary_matrix
+from cauchysketch.concentration import max_abs_plan, plan_dimension
+from cauchysketch.metric import rho
+from cauchysketch.moments import mu, mu_inverse
+from cauchysketch.sketch import read_binary_matrix, regime_tag, write_binary_matrix
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -126,6 +128,26 @@ class TestSketch:
                          "--epsilon", "0.25", "--k", "16", *flags]) == 2, flags
             assert not out.exists()
 
+    def test_unestimable_c_exits_2(self, tmp_path):
+        # N^(-c) underflows for N = 10, c = 400: estimate could not plan
+        # lambda0, so the sketch is refused
+        path = tmp_path / "ten.csv"
+        path.write_text("".join(f"{i}.0,{i % 3}.0\n" for i in range(10)))
+        out = tmp_path / "c.bin"
+        assert main(["sketch", "--input", str(path), "--output", str(out), "--epsilon", "0.25",
+                     "--k", "16", "--c", "400"]) == 2
+        assert not out.exists()
+
+    def test_sketch_rows_too_far_apart_exit_2(self, tmp_path):
+        # each sketch coordinate is finite, but the two rows differ by
+        # more than the largest float: refused at sketch, not at estimate
+        path = tmp_path / "far.csv"
+        path.write_text("1e308,0.0\n-1e308,0.0\n")
+        out = tmp_path / "far.bin"
+        assert main(["sketch", "--input", str(path), "--output", str(out), "--epsilon", "0.25",
+                     "--k", "1", "--seed", "6"]) == 2
+        assert not out.exists()
+
     def test_planned_k_without_flag(self, dataset, tmp_path):
         out = str(tmp_path / "planned.bin")
         assert main(["sketch", "--input", dataset, "--output", out, "--epsilon", "0.25"]) == 0
@@ -212,6 +234,32 @@ class TestEstimate:
         with open(meta, "w") as fh:
             json.dump(good, fh)
         assert main(["estimate", "--input", sk]) == 0
+
+    def test_pair_table_matches_per_pair_definitions(self, tmp_path):
+        # k = 1000 does not divide the 16,384-element block, so each of the
+        # first rows spans several blocks; the scales give all four tags.
+        rng = np.random.default_rng(4)
+        scales = np.repeat([1e-13, 1e-3, 0.05, 1.0], 10)[:, None]
+        path = tmp_path / "mixed.csv"
+        np.savetxt(path, rng.standard_normal((40, 3)) * scales, delimiter=",")
+        sk, out = str(tmp_path / "mixed.bin"), str(tmp_path / "pairs.csv")
+        assert main(["sketch", "--input", str(path), "--output", sk, "--epsilon", "0.25",
+                     "--k", "1000", "--seed", "3"]) == 0
+        assert main(["estimate", "--input", sk, "--output", out]) == 0
+        coords = read_binary_matrix(sk)
+        lambda0 = max_abs_plan(1000, 0.25, 40, 3.0).lambda0
+        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        pairs = [(i, j) for i in range(40) for j in range(i + 1, 40)]
+        assert [(int(r[0]), int(r[1])) for r in rows] == pairs
+        rhos = np.array([float(r[2]) for r in rows])
+        estimates = np.array([float(r[3]) for r in rows])
+        assert {r[4] for r in rows} == {"large", "small", "really-small", "unproven-upper"}
+        assert np.array_equal(mu_inverse(rhos), estimates)
+        for (i, j), r, e, row in zip(pairs, rhos.tolist(), estimates.tolist(), rows):
+            assert r == rho(coords[i], coords[j])
+            assert abs(mu(e) - r) <= 1e-12 * r
+            assert row[4] == regime_tag(e, 0.25, lambda0)
+            assert e == mu_inverse(r)
 
     @pytest.mark.parametrize("scale", ["1e160", "1e200"])
     def test_distances_past_lambda_squared_overflow(self, tmp_path, capsys, scale):

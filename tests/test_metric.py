@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
 from cauchysketch.metric import rho, xi, xi_small_envelope
+from cauchysketch.moments import mu_inverse
 from cauchysketch.sketch import sketch_dataset
 
 SEED = RngSeed(20240817, 0)
@@ -119,3 +121,57 @@ class TestRho:
             rho(np.stack([u, u]), np.stack([u, u]))  # rows, not matrices
         with pytest.raises(ValueError):
             rho(np.empty(0), np.empty(0))
+
+
+# Coordinates whose differences stay finite, as sketch_dataset guarantees.
+_coordinate = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def _stack_and_row(draw):
+    """An (m, k) stack U and a row v, with some rows of U equal to v."""
+    k = draw(st.integers(1, 6))
+    v = draw(arrays(np.float64, k, elements=_coordinate))
+    stack = draw(arrays(np.float64, (draw(st.integers(1, 5)), k), elements=_coordinate))
+    for j, same in enumerate(draw(st.lists(st.booleans(), min_size=len(stack), max_size=len(stack)))):
+        if same:
+            stack[j] = v
+    return stack, v
+
+
+class TestRhoOfStack:
+    """rho(U, v) of an (m, k) stack is the m row-by-row values."""
+
+    @pytest.mark.parametrize("k", [1, 7, 1000])
+    def test_same_bits_as_row_calls(self, k):
+        points = np.array(_random_points(k, 20, 7))
+        values = rho(points[1:], points[0])
+        assert values.shape == (19,)
+        assert [rho(u, points[0]) for u in points[1:]] == values.tolist()
+        assert [float(np.mean(xi(np.abs(u - points[0])))) for u in points[1:]] == values.tolist()
+        assert type(rho(points[1], points[0])) is float
+
+    def test_shape_and_value_checks(self):
+        stack = np.array(_random_points(4, 3, 8))
+        with pytest.raises(ValueError):
+            rho(stack, stack[0][:3])  # row length differs
+        with pytest.raises(ValueError):
+            rho(stack[None], stack[0])  # 3-d stack
+        with pytest.raises(ValueError):
+            rho(stack, stack[:1])  # v is not a row
+        stack[1, 2] = math.nan
+        with pytest.raises(ValueError):
+            rho(stack, stack[0])
+
+    @given(_stack_and_row())
+    def test_stack_entry_is_row_value(self, case):
+        stack, v = case
+        values = rho(stack, v)
+        for j, u in enumerate(stack):
+            assert values[j] == rho(u, v)
+
+    @given(_stack_and_row())
+    def test_estimate_zero_exactly_on_equal_rows(self, case):
+        stack, v = case
+        estimates = mu_inverse(rho(stack, v))
+        assert ((estimates == 0.0) == (stack == v).all(axis=1)).all()

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchysketch.moments import (
+    _mu_derivative_np,
+    _mu_np,
     DeviationPair,
     deviations,
     expected_log1p,
@@ -204,8 +206,53 @@ class TestMuInverse:
     def test_monotone(self, m):
         assert mu_inverse(m * 1.01) > mu_inverse(m)
 
+    def test_round_trip_large_m(self):
+        # m >= 340 is lambda above ~1e147; the Newton start next to e^m
+        # keeps these to a few steps
+        ms = np.linspace(340.0, mu(sys.float_info.max), 2001)
+        lams = mu_inverse(ms)
+        assert np.isfinite(lams).all()
+        for m, lam in zip(ms.tolist(), lams.tolist()):
+            assert mu(lam) == pytest.approx(m, rel=1e-9)
+            assert mu_inverse(mu(lam)) == pytest.approx(lam, rel=1e-9)
+
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(9)
+        ms = np.concatenate(
+            [[0.0, 1e-170, 2.0, 340.0, mu(sys.float_info.max)],
+             np.exp(rng.uniform(math.log(1e-160), math.log(709.0), 500))]
+        )
+        lams = mu_inverse(ms)
+        assert lams.shape == ms.shape
+        assert lams.tolist() == [mu_inverse(m) for m in ms.tolist()]
+        assert np.array_equal(mu_inverse(ms[:6].reshape(2, 3)), lams[:6].reshape(2, 3))
+        assert type(mu_inverse(np.float64(2.0))) is float
+
+    def test_numpy_twin_tracks_mu(self):
+        lams = np.concatenate(
+            [[0.0, 5e-324, 1e150, math.nextafter(1e150, math.inf), sys.float_info.max],
+             np.geomspace(5e-324, 1e308, 20001)]
+        )
+        exact = np.array([mu(lam) for lam in lams.tolist()])
+        assert np.all(np.abs(_mu_np(lams) - exact) <= 1e-15 * exact)
+        positive = lams[1:]
+        exact = np.array([mu_derivative(lam) for lam in positive.tolist()])
+        assert np.all(np.abs(_mu_derivative_np(positive) - exact) <= 1e-15 * exact)
+
+    def test_below_smallest_positive_float(self):
+        # the inverse of m <= mu(5e-324) ~ 3.1e-162 is below every positive
+        # float; it is returned as the smallest one, so only 0 maps to 0
+        assert mu_inverse(1e-170) == 5e-324
+        assert mu_inverse(mu(5e-324)) == 5e-324
+        assert mu_inverse(np.array([0.0, 1e-300])).tolist() == [0.0, 5e-324]
+        assert 0.0 < mu_inverse(3.2e-162) < 1e-320
+
     def test_domain(self):
         with pytest.raises(ValueError):
             mu_inverse(-0.1)
         with pytest.raises(ValueError):
             mu_inverse(math.nan)
+        with pytest.raises(ValueError):
+            mu_inverse(np.array([1.0, -0.1]))
+        with pytest.raises(ValueError):
+            mu_inverse(np.array([1.0, math.inf]))

@@ -135,6 +135,19 @@ class TestRegimeTag:
         # without a cutoff the conservative tag applies
         assert regime_tag(1e-13, eps) == "unproven-upper"
 
+    def test_array_matches_scalar(self):
+        estimates = np.array([[2.0, 1.0, 0.0], [1e-13, 0.4, 1e-11]])
+        tags = regime_tag(estimates, 0.25, lambda0=1e-12)
+        assert tags.shape == (2, 3)
+        assert tags.tolist() == [
+            [regime_tag(e, 0.25, lambda0=1e-12) for e in row] for row in estimates.tolist()
+        ]
+        assert tags.tolist() == [
+            ["large", "small", "really-small"], ["really-small", "unproven-upper", "unproven-upper"]
+        ]
+        with pytest.raises(ValueError):
+            regime_tag(np.array([1.0, math.nan]), 0.25)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             regime_tag(-1.0, 0.25)
