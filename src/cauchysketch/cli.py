@@ -67,9 +67,11 @@ def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
     return 0
 
 
-def _check_sketch_parameters(k, n_points, epsilon, c) -> None:
+def _check_sketch_parameters(k, n_points, epsilon, c):
     """Raise ValueError unless k >= 1 and n_points >= 2 are integers,
-    epsilon is in (0, 1/4] and c >= 3: what a sketch may be made with."""
+    epsilon is in (0, 1/4], c >= 3 and the max-bound plan of these values
+    is finite: what a sketch may be made with. Returns that plan, whose
+    lambda0 the regime tags need."""
     for name, value, low in (("k", k, 1), ("n_points", n_points, 2)):
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -80,6 +82,7 @@ def _check_sketch_parameters(k, n_points, epsilon, c) -> None:
         raise ValueError(f"epsilon must be in (0, 1/4], got {epsilon!r}")
     if not c >= 3.0:
         raise ValueError(f"c must be >= 3, got {c!r}")
+    return max_abs_plan(k, epsilon, n_points, c)
 
 
 def cmd_sketch(args: argparse.Namespace, seed: RngSeed) -> int:
@@ -89,7 +92,6 @@ def cmd_sketch(args: argparse.Namespace, seed: RngSeed) -> int:
         raise DatasetFormatError(f"need at least 2 points to sketch, got {n}")
     k = args.k if args.k is not None else plan_dimension(args.epsilon, n, args.c).k
     _check_sketch_parameters(k, n, args.epsilon, args.c)
-    max_abs_plan(k, args.epsilon, n, args.c)  # so that estimate can plan lambda0 for this sketch
     coords = sketch_dataset(points, k, seed)
     write_binary_matrix(args.output, coords)
     metadata = {
@@ -128,7 +130,7 @@ def cmd_estimate(args: argparse.Namespace, seed: RngSeed) -> int:
             raise DatasetFormatError(f"metadata sidecar {metadata_path} lacks {key!r}")
     n, k, epsilon, c = (metadata[key] for key in ("n_points", "k", "epsilon", "c"))
     try:
-        _check_sketch_parameters(k, n, epsilon, c)
+        lambda0 = _check_sketch_parameters(k, n, epsilon, c).lambda0
     except ValueError as exc:
         raise DatasetFormatError(f"metadata sidecar {metadata_path}: {exc}") from None
     coords = read_binary_matrix(args.input)
@@ -136,7 +138,6 @@ def cmd_estimate(args: argparse.Namespace, seed: RngSeed) -> int:
         raise DatasetFormatError(
             f"sketch shape {coords.shape} does not match metadata (n_points={n}, k={k})"
         )
-    lambda0 = max_abs_plan(k, epsilon, n, c).lambda0
     # Row i against rows i+1.. in blocks of at most _BLOCK_ELEMENTS
     # differences; each block is one rho call.
     block_rows = max(1, _BLOCK_ELEMENTS // k)

@@ -463,6 +463,9 @@ def max_abs_plan(k: int, epsilon: float, n_points: int, c: float) -> MaxBoundPla
     if delta == 0.0:
         raise ValueError(f"N^(-c) underflows for N={n_points!r}, c={c!r}")
     c_k = math.e / delta
+    if math.isinf(k * c_k):
+        # the threshold's survival quantile 1/(k C_k) would be 0
+        raise ValueError(f"k e N^c overflows for k={k!r}, N={n_points!r}, c={c!r}")
     p_t = 1.0 / (k * c_k)
     return MaxBoundPlan(
         k=k,

@@ -246,44 +246,52 @@ def mu_inverse(m, rtol: float = 1e-12, max_iter: int = 200):
     float; m above mu(float max) ~ 709.78 has no finite inverse and
     raises ValueError. Below mu(5e-324) ~ 3.1e-162 the inverse is smaller
     than the smallest positive float and is returned as that float, so
-    only m = 0 gives 0.
+    only m = 0 gives 0. A float runs through the same array code, at about
+    0.1-0.2 ms a call; to invert many m, pass them as one array.
     """
     arr = np.asarray(m, dtype=np.float64)
-    bad = np.isnan(arr) | (arr < 0.0)
-    if bad.any():
-        raise ValueError(f"mu_inverse requires m >= 0, got {float(arr[bad].flat[0])!r}")
-    bad = arr > _MU_MAX
-    if bad.any():
+    if not ((arr >= 0.0) & (arr <= _MU_MAX)).all():
+        bad = np.isnan(arr) | (arr < 0.0)
+        if bad.any():
+            raise ValueError(f"mu_inverse requires m >= 0, got {float(arr[bad].flat[0])!r}")
         raise ValueError(
-            f"mu_inverse requires m <= mu(float max) = {_MU_MAX!r}, got {float(arr[bad].flat[0])!r}"
+            f"mu_inverse requires m <= mu(float max) = {_MU_MAX!r}, "
+            f"got {float(arr[arr > _MU_MAX].flat[0])!r}"
         )
     flat = arr.ravel()
-    lam = np.where(flat > 0.0, _TINY, 0.0)
     solve = flat > _MU_TINY
-    if solve.any():
-        lam[solve] = _solve_mu(flat[solve], rtol, max_iter)
+    if solve.all():
+        lam = _solve_mu(flat, rtol, max_iter)
+    else:
+        lam = np.where(flat > 0.0, _TINY, 0.0)
+        if solve.any():
+            lam[solve] = _solve_mu(flat[solve], rtol, max_iter)
     lam = lam.reshape(arr.shape)
     return float(lam) if lam.ndim == 0 else lam
 
 
+@np.errstate(over="ignore")
 def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
     # mu(lambda) = m for a 1-d array of m in (mu(5e-324), mu(float max)].
     # Seeds: mu ~ sqrt(2 lambda) for small lambda, ~ ln(lambda) for large.
     # expm1(2m) overflows past m ~ 354.9; there e^(m+1) (or the largest
-    # float) brackets instead, since mu(lambda) > ln(lambda).
+    # float) brackets instead, since mu(lambda) > ln(lambda). Overflow in
+    # a branch np.where discards, or in a rejected Newton step, is silenced.
     lo = 0.25 * m * m
-    hi = np.full_like(m, sys.float_info.max)
-    below = m < 708.0
-    hi[below] = np.exp(m[below] + 1.0)
-    below = m < 350.0
-    hi[below] = np.maximum(2.0 * m[below] ** 2, np.sqrt(np.expm1(2.0 * m[below])) + 1.0)
-    over = _mu_np(lo) > m
+    hi = np.where(
+        m < 350.0,
+        np.maximum(2.0 * m * m, np.sqrt(np.expm1(2.0 * m)) + 1.0),
+        np.where(m < 708.0, np.exp(m + 1.0), sys.float_info.max),
+    )
+    # One mu evaluation checks both seeds; they bracket unless rounding
+    # says otherwise, and then the loops widen them.
+    both = _mu_np(np.concatenate((lo, hi)))
+    over, under = both[: m.size] > m, both[m.size :] < m
     for _ in range(max_iter):
         if not over.any():
             break
         lo[over] *= 0.25
         over = _mu_np(lo) > m
-    under = _mu_np(hi) < m
     for _ in range(max_iter):
         if not under.any():
             break
@@ -297,10 +305,9 @@ def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
     # ln(1 + m - ln(lambda)) a step on the logarithm-like mu: 70 steps
     # from 0.5 m^2 at m = 320. From m = 2 on, start at hi/e instead,
     # which the seeds put at e^(m-1) or e^m, next to the root.
-    lam = np.minimum(np.maximum(0.5 * m * m, lo), hi)
-    large = m >= 2.0
-    lam[large] = np.maximum(lo[large], hi[large] / math.e)
+    lam = np.where(m >= 2.0, np.maximum(lo, hi / math.e), np.minimum(np.maximum(0.5 * m * m, lo), hi))
 
+    tol = rtol * m
     out = np.empty_like(m)
     todo = np.arange(m.size)
     # A Newton step that leaves lambda where it is means no float is
@@ -309,20 +316,22 @@ def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
     settled = np.zeros(m.shape, dtype=bool)
     for _ in range(max_iter):
         f = _mu_np(lam) - m
-        done = settled | (np.abs(f) <= rtol * m)
+        done = settled | (np.abs(f) <= tol)
         if done.any():
+            if done.all():
+                out[todo] = lam
+                return out
             out[todo[done]] = lam[done]
             left = ~done
-            todo, m, lam, lo, hi, f = todo[left], m[left], lam[left], lo[left], hi[left], f[left]
-            if not todo.size:
-                return out
+            todo, m, tol, lam, lo, hi, f = (
+                x[left] for x in (todo, m, tol, lam, lo, hi, f)
+            )
         over = f > 0.0
         hi = np.where(over, lam, hi)
         lo = np.where(over, lo, lam)
         # Newton, safeguarded: reject steps outside the current bracket
         # (an overflowing step is one of them).
-        with np.errstate(over="ignore"):
-            step = lam - f / _mu_derivative_np(lam)
+        step = lam - f / _mu_derivative_np(lam)
         settled = step == lam
         lam = np.where(settled | ((lo < step) & (step < hi)), step, lo + 0.5 * (hi - lo))
     out[todo] = lam

@@ -129,14 +129,16 @@ class TestSketch:
             assert not out.exists()
 
     def test_unestimable_c_exits_2(self, tmp_path):
-        # N^(-c) underflows for N = 10, c = 400: estimate could not plan
-        # lambda0, so the sketch is refused
+        # For N = 10, N^(-c) underflows at c = 400, and k e N^c overflows
+        # at c = 307 with k = 16: estimate could not plan lambda0, so the
+        # sketch is refused
         path = tmp_path / "ten.csv"
         path.write_text("".join(f"{i}.0,{i % 3}.0\n" for i in range(10)))
         out = tmp_path / "c.bin"
-        assert main(["sketch", "--input", str(path), "--output", str(out), "--epsilon", "0.25",
-                     "--k", "16", "--c", "400"]) == 2
-        assert not out.exists()
+        for c in ("400", "307"):
+            assert main(["sketch", "--input", str(path), "--output", str(out), "--epsilon", "0.25",
+                         "--k", "16", "--c", c]) == 2, c
+            assert not out.exists()
 
     def test_sketch_rows_too_far_apart_exit_2(self, tmp_path):
         # each sketch coordinate is finite, but the two rows differ by
@@ -221,9 +223,11 @@ class TestEstimate:
             json.dump({"k": 400}, fh)
         assert main(["estimate", "--input", sk]) == 3
         good = {"k": 400, "n_points": 4, "epsilon": 0.25, "c": 3.0}
+        # 4^-600 underflows; at c = 510, k e 4^c overflows for k = 400
         for broken in ({"k": "abc"}, {"k": None}, {"k": 400.0}, {"k": True}, {"k": 0},
                        {"n_points": 2.5}, {"n_points": 1}, {"c": "x"}, {"c": 2.0},
-                       {"c": math.nan}, {"epsilon": 0.9}, {"epsilon": "0.25"}, {"epsilon": 0}):
+                       {"c": math.nan}, {"c": 600.0}, {"c": 510.0}, {"epsilon": 0.9},
+                       {"epsilon": "0.25"}, {"epsilon": 0}):
             with open(meta, "w") as fh:
                 json.dump({**good, **broken}, fh)
             assert main(["estimate", "--input", sk]) == 3, broken

@@ -308,6 +308,13 @@ class TestMaxBoundPlan:
         assert plan.lambda0 == pytest.approx(9.029119920241565e-12, rel=1e-12)
         assert plan.c0 == 0.25**2 / 4.0
 
+    def test_unplannable_budget_raises(self):
+        # delta = 1e-307 is a normal float, but k e/delta overflows for k = 16,
+        # which would put the threshold quantile at 0
+        for c in (307.0, 400.0):
+            with pytest.raises(ValueError):
+                max_abs_plan(16, 0.25, 10, c)
+
     def test_exceedance_below_delta(self):
         plan = max_abs_plan(1000, 0.25, 100, 3)
         assert plan.exceedance_bound == pytest.approx(

@@ -2,6 +2,7 @@
 small-argument envelope."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,19 @@ class TestXi:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             xi(-1e-9)
+
+    def test_large_array_holds_two_temporaries(self):
+        # The Monte Carlo suites pass xi arrays of millions of draws; its
+        # peak is two float64 arrays of their size beside the input.
+        a = np.linspace(0.0, 1e6, 1_000_000)
+        tracemalloc.start()
+        try:
+            out = xi(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * a.nbytes + 65_536
+        assert np.array_equal(out, np.log1p(np.sqrt(a)) + 0.5 * np.log1p(a))
 
 
 class TestSketchedPoint:
