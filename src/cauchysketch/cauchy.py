@@ -64,18 +64,13 @@ def _inverse_cdf(u):
     return np.tan(np.pi * (np.asarray(u, dtype=np.float64) - 0.5))
 
 
-def sample_standard_cauchy(rng: np.random.Generator, size: int | None = None):
-    """Draw from Cauchy(1) via tan(pi (u - 1/2)).
+def sample_standard_cauchy(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` values from Cauchy(1) via tan(pi (u - 1/2)), in
+    stream order.
 
-    ``size=None`` returns a float; an integer returns that many draws in
-    stream order. Uniforms that land exactly on 0 or 1 are redrawn, so the
-    transform never sees its poles.
+    Uniforms that land exactly on 0 or 1 are redrawn, so the transform
+    never sees its poles.
     """
-    if size is None:
-        u = rng.random()
-        while u == 0.0 or u == 1.0:
-            u = rng.random()
-        return float(_inverse_cdf(u))
     u = rng.random(size)
     bad = (u == 0.0) | (u == 1.0)
     while bad.any():
@@ -106,22 +101,17 @@ def survival_abs(t):
     return float(out) if out.ndim == 0 else out
 
 
-def stable_combination(v, rng: np.random.Generator, size: int | None = None):
-    """sum_j v_j X_j with X_j iid Cauchy(1); distributed as ||v||_1 X.
-
-    With size=None returns one combination as a float; with an integer
-    size returns that many independent combinations as an array, each
-    consuming len(v) consecutive draws of the stream.
-    """
+def stable_combination(v, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` independent sums sum_j v_j X_j with X_j iid Cauchy(1), each
+    distributed as ||v||_1 X and consuming len(v) consecutive draws of the
+    stream."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.size == 0:
         raise ValueError("stable_combination requires a non-empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("stable_combination requires finite weights")
-    if size is None:
-        return float(np.dot(v, sample_standard_cauchy(rng, v.size)))
     if not isinstance(size, int) or size < 1:
-        raise ValueError(f"size must be a positive integer or None, got {size!r}")
+        raise ValueError(f"size must be a positive integer, got {size!r}")
     draws = sample_standard_cauchy(rng, size * v.size).reshape(size, v.size)
     return draws @ v
 

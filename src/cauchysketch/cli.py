@@ -44,8 +44,6 @@ __all__ = ["main"]
 # temporary, which keeps the xi passes in cache.
 _BLOCK_ELEMENTS = 16_384
 
-_REGIME_ORDER = ("large-upper", "large-lower", "small-upper", "small-lower", "really-small-lower")
-
 
 def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
     plan = plan_dimension(args.epsilon, args.n, args.c)
@@ -54,9 +52,9 @@ def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
         f"epsilon = {plan.epsilon:g}, N = {args.n}, c = {args.c:g}, "
         f"delta = N^-c = {plan.delta_fail:.6e}"
     )
-    for name in _REGIME_ORDER:
+    for name, rate in table.items():
         marker = "  <- binding" if name == plan.binding_regime else ""
-        print(f"  rate reciprocal {name:<22} {table[name]:18.4f}{marker}")
+        print(f"  rate reciprocal {name:<22} {rate:18.4f}{marker}")
     print(f"  exponent optimizers u* = {plan.u_star_upper:.6g} (upper), {plan.u_star_lower:.6g} (lower)")
     print(f"  really-small cutoff lambda0 = {plan.lambda0:.6e}")
     print(f"k = ceil(ln(2/delta) * max rate reciprocal) = {plan.k}")

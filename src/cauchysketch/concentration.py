@@ -47,7 +47,6 @@ __all__ = [
     "chernoff_rate_small",
     "u_star_large",
     "u_star_small_upper",
-    "classify_scale",
     "ChernoffPlan",
     "plan_dimension",
     "plan_dimension_for_delta",
@@ -238,28 +237,11 @@ def u_star_small_upper(epsilon: float, lam: float) -> float:
     return epsilon * mu(lam) / (2.0 * lam * (A_SMALL_UPPER_PRINTED + _small_base(lam)))
 
 
-def classify_scale(lam: float, epsilon: float) -> str:
-    """Classify lambda per the two-sided guarantee's case split.
-
-    Returns "large" for lambda >= sqrt(1+eps), "small" for
-    8 eps^2 < lambda < sqrt(1+eps), and "really_small" for
-    lambda <= 8 eps^2 (boundary included, matching the strict inequality
-    in the small-regime hypotheses).
-    """
-    large_from, small_above = _scale_cutoffs(epsilon)
-    lam = float(lam)
-    if lam <= 0.0 or math.isnan(lam):
-        raise ValueError(f"lambda must be > 0, got {lam!r}")
-    if lam >= large_from:
-        return "large"
-    if lam > small_above:
-        return "small"
-    return "really_small"
-
-
 def _scale_cutoffs(epsilon: float) -> tuple[float, float]:
-    # (sqrt(1+eps), 8 eps^2): lambda >= the first is large, lambda above
-    # the second and below the first is small.
+    # (sqrt(1+eps), 8 eps^2), the two-sided guarantee's case split:
+    # lambda >= the first is large, lambda above the second and below the
+    # first is small, and lambda at or below the second (matching the
+    # strict inequality of the small-regime hypotheses) is really small.
     epsilon = _check_epsilon(epsilon)
     return math.sqrt(1.0 + epsilon), 8.0 * epsilon**2
 
@@ -443,6 +425,13 @@ class MaxBoundPlan:
         return math.exp(-h_rate(self.alpha) * self.k * self.p_t)
 
 
+def _max_threshold(k: int, delta: float) -> tuple[float, float]:
+    # (p_t, t) with C_k = e/delta: the survival quantile p_t = 1/(k C_k)
+    # of |X| and its threshold t = 1/tan(pi p_t/2), at unit scale.
+    p_t = 1.0 / (k * (math.e / delta))
+    return p_t, 1.0 / math.tan(math.pi / 2.0 * p_t)
+
+
 def max_abs_plan(k: int, epsilon: float, n_points: int, c: float) -> MaxBoundPlan:
     """Plan the max-of-iid threshold at budget delta = N^{-c}.
 
@@ -466,14 +455,14 @@ def max_abs_plan(k: int, epsilon: float, n_points: int, c: float) -> MaxBoundPla
     if math.isinf(k * c_k):
         # the threshold's survival quantile 1/(k C_k) would be 0
         raise ValueError(f"k e N^c overflows for k={k!r}, N={n_points!r}, c={c!r}")
-    p_t = 1.0 / (k * c_k)
+    p_t, threshold_t = _max_threshold(k, delta)
     return MaxBoundPlan(
         k=k,
         delta=delta,
         C_k=c_k,
         alpha=c_k,
         p_t=p_t,
-        threshold_t=1.0 / math.tan(math.pi / 2.0 * p_t),
+        threshold_t=threshold_t,
         lambda0=epsilon**2 * math.pi * delta / (8.0 * k * math.e),
         c0=epsilon**2 / 4.0,
     )

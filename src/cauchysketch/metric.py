@@ -47,7 +47,8 @@ def rho(u, v):
     the m values rho(u[j], v) as an array, each with the same bits as the
     row-by-row call. Symmetric, zero exactly on equal points, triangle
     inequality via the concavity of xi, and translation invariant since
-    only differences enter. numpy's pairwise (fixed-block tree) reduction
+    only differences enter; a difference past the largest float raises
+    ValueError. numpy's pairwise (fixed-block tree) reduction
     keeps the mean accurate and bit-stable for large k.
     """
     u = np.asarray(u, dtype=np.float64)
@@ -57,7 +58,12 @@ def rho(u, v):
             f"rho needs a nonempty 1-d row v and a row or stack of rows u of its length, "
             f"got {u.shape}, {v.shape}"
         )
-    means = np.mean(xi(np.abs(u - v)), axis=-1)
+    # A difference past the largest float gives an infinite mean; checking
+    # the m means costs one pass over m, not over the k m differences.
+    with np.errstate(over="ignore"):
+        means = np.mean(xi(np.abs(u - v)), axis=-1)
+    if not np.isfinite(means).all():
+        raise ValueError("rho needs rows whose differences are finite; rescale the sketch")
     return float(means) if means.ndim == 0 else means
 
 

@@ -46,67 +46,50 @@ _SQRT2 = math.sqrt(2.0)
 _LARGE_LAMBDA = 1e150
 
 
-def _check_lambda(lam: float, *, positive: bool = False) -> float:
-    lam = float(lam)
-    if math.isnan(lam) or math.isinf(lam):
-        raise ValueError(f"lambda must be finite, got {lam!r}")
-    if positive and lam <= 0.0:
-        raise ValueError(f"lambda must be > 0, got {lam!r}")
-    if not positive and lam < 0.0:
-        raise ValueError(f"lambda must be >= 0, got {lam!r}")
-    return lam
+def _check_lambda(lam, *, positive: bool = False):
+    # lam as a float, or as a float64 array when it is one, after a
+    # ValueError naming the first element that is not finite and >= 0
+    # (> 0 when positive).
+    lam = np.asarray(lam, dtype=np.float64)
+    ok = lam > 0.0 if positive else lam >= 0.0  # also false on NaN
+    ok &= lam < math.inf
+    if not ok.all():
+        bad = float(lam[~ok].flat[0])
+        if math.isnan(bad) or math.isinf(bad):
+            raise ValueError(f"lambda must be finite, got {bad!r}")
+        raise ValueError(f"lambda must be {'>' if positive else '>='} 0, got {bad!r}")
+    return float(lam) if lam.ndim == 0 else lam
 
 
-def mu(lam: float) -> float:
+def mu(lam):
     """Mean map mu(lambda) = E xi(lambda |X|), in closed form.
 
-    Finite for every finite lambda: above _LARGE_LAMBDA, where lambda^2
-    would overflow, ln(1 + lambda^2)/2 is taken as
-    ln(lambda) + ln(1 + lambda^-2)/2 and sqrt(2 lambda) as
-    sqrt(2) sqrt(lambda).
+    A float gives a float, an array an array of its shape. Finite for
+    every finite lambda: above _LARGE_LAMBDA, where lambda^2 would
+    overflow, ln(1 + lambda^2)/2 is taken as ln(lambda) + ln(1 + lambda^-2)/2
+    and sqrt(2 lambda) as sqrt(2) sqrt(lambda).
     """
-    lam = _check_lambda(lam)
-    if lam == 0.0:
-        return 0.0
-    if lam > _LARGE_LAMBDA:
-        return atanh_eval(_SQRT2 * math.sqrt(lam) / (1.0 + lam)) + (
-            math.log(lam) + 0.5 * math.log1p((1.0 / lam) ** 2)
+
+    def below(lam):
+        return atanh_eval(np.sqrt(2.0 * lam) / (1.0 + lam)) + 0.5 * np.log1p(lam * lam)
+
+    def above(lam):
+        return atanh_eval(_SQRT2 * np.sqrt(lam) / (1.0 + lam)) + (
+            np.log(lam) + 0.5 * np.log1p((1.0 / lam) ** 2)
         )
-    return atanh_eval(math.sqrt(2.0 * lam) / (1.0 + lam)) + 0.5 * math.log1p(lam * lam)
+
+    return _by_scale(_check_lambda(lam), below, above)
 
 
-def mu_derivative(lam: float) -> float:
+def mu_derivative(lam):
     """d mu / d lambda; strictly positive on lambda > 0.
 
     Differentiating the closed form collapses to
     ((1 - lambda)/sqrt(2 lambda) + lambda) / (1 + lambda^2); above
     _LARGE_LAMBDA numerator and denominator are divided by lambda first.
+    A float gives a float, an array an array of its shape.
     """
-    lam = _check_lambda(lam, positive=True)
-    if lam > _LARGE_LAMBDA:
-        numerator = (1.0 - lam) / (_SQRT2 * math.sqrt(lam)) + lam
-        return (numerator / lam) / (lam + 1.0 / lam)
-    return ((1.0 - lam) / math.sqrt(2.0 * lam) + lam) / (1.0 + lam * lam)
 
-
-def _mu_np(lam: np.ndarray) -> np.ndarray:
-    # numpy twin of mu for an array of lambda >= 0, same closed form and
-    # branches. np.log1p differs from math.log1p in the last bit on some
-    # inputs, so this stays within 1e-15 relative of mu without matching
-    # its bits; mu keeps math.log1p for the planner and the oracles.
-    def below(lam):
-        return _atanh_np(np.sqrt(2.0 * lam) / (1.0 + lam)) + 0.5 * np.log1p(lam * lam)
-
-    def above(lam):
-        return _atanh_np(_SQRT2 * np.sqrt(lam) / (1.0 + lam)) + (
-            np.log(lam) + 0.5 * np.log1p((1.0 / lam) ** 2)
-        )
-
-    return _by_scale(lam, below, above)
-
-
-def _mu_derivative_np(lam: np.ndarray) -> np.ndarray:
-    # numpy twin of mu_derivative for an array of lambda > 0.
     def below(lam):
         return ((1.0 - lam) / np.sqrt(2.0 * lam) + lam) / (1.0 + lam * lam)
 
@@ -114,23 +97,23 @@ def _mu_derivative_np(lam: np.ndarray) -> np.ndarray:
         numerator = (1.0 - lam) / (_SQRT2 * np.sqrt(lam)) + lam
         return (numerator / lam) / (lam + 1.0 / lam)
 
-    return _by_scale(lam, below, above)
+    return _by_scale(_check_lambda(lam, positive=True), below, above)
 
 
-def _atanh_np(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.log1p(x) - np.log1p(-x))
-
-
-def _by_scale(lam: np.ndarray, below, above) -> np.ndarray:
+def _by_scale(lam, below, above):
     # below(lam) where lam <= _LARGE_LAMBDA, above(lam) elsewhere; neither
-    # sees the other's elements, so lambda^2 never overflows.
+    # sees the other's elements, so lambda^2 never overflows. A float
+    # gives a float.
     large = lam > _LARGE_LAMBDA
-    if not large.any():
-        return below(lam)
-    out = np.empty_like(lam)
-    out[~large] = below(lam[~large])
-    out[large] = above(lam[large])
-    return out
+    if not np.any(large):
+        out = below(lam)
+    elif np.all(large):
+        out = above(lam)
+    else:
+        out = np.empty_like(lam)
+        out[~large] = below(lam[~large])
+        out[large] = above(lam[large])
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def expected_log1p(lam: float) -> float:
@@ -285,18 +268,18 @@ def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
     )
     # One mu evaluation checks both seeds; they bracket unless rounding
     # says otherwise, and then the loops widen them.
-    both = _mu_np(np.concatenate((lo, hi)))
+    both = mu(np.concatenate((lo, hi)))
     over, under = both[: m.size] > m, both[m.size :] < m
     for _ in range(max_iter):
         if not over.any():
             break
         lo[over] *= 0.25
-        over = _mu_np(lo) > m
+        over = mu(lo) > m
     for _ in range(max_iter):
         if not under.any():
             break
         hi[under] *= 4.0
-        under = _mu_np(hi) < m
+        under = mu(hi) < m
     unbracketed = over | under
     if unbracketed.any():
         raise ArithmeticError(f"mu_inverse failed to bracket m={float(m[unbracketed][0])!r}")
@@ -315,7 +298,7 @@ def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
     # before the rtol test passes.
     settled = np.zeros(m.shape, dtype=bool)
     for _ in range(max_iter):
-        f = _mu_np(lam) - m
+        f = mu(lam) - m
         done = settled | (np.abs(f) <= tol)
         if done.any():
             if done.all():
@@ -331,7 +314,7 @@ def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
         lo = np.where(over, lo, lam)
         # Newton, safeguarded: reject steps outside the current bracket
         # (an overflowing step is one of them).
-        step = lam - f / _mu_derivative_np(lam)
+        step = lam - f / mu_derivative(lam)
         settled = step == lam
         lam = np.where(settled | ((lo < step) & (step < hi)), step, lo + 0.5 * (hi - lo))
     out[todo] = lam

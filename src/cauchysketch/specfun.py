@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "atanh_eval",
     "atanh_add_arg",
@@ -42,16 +44,21 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
-def atanh_eval(x: float) -> float:
+def atanh_eval(x):
     """Inverse hyperbolic tangent on (-1, 1).
 
-    atanh(x) = (ln(1+x) - ln(1-x)) / 2; odd and strictly increasing.
+    atanh(x) = (ln(1+x) - ln(1-x)) / 2; odd and strictly increasing. A
+    float gives a float, an array an array of its shape.
     """
-    x = _require_finite("x", x)
-    if abs(x) >= 1.0:
-        raise ValueError(f"atanh_eval requires |x| < 1, got {x!r}")
+    x = np.asarray(x, dtype=np.float64)
+    inside = np.abs(x) < 1.0  # also false on NaN
+    if not inside.all():
+        bad = float(x[~inside].flat[0])
+        _require_finite("x", bad)
+        raise ValueError(f"atanh_eval requires |x| < 1, got {bad!r}")
     # log1p keeps full precision for small x where ln(1 +- x) would cancel.
-    return 0.5 * (math.log1p(x) - math.log1p(-x))
+    out = 0.5 * (np.log1p(x) - np.log1p(-x))
+    return float(out) if out.ndim == 0 else out
 
 
 def atanh_add_arg(x: float, y: float) -> float:

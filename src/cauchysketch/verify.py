@@ -41,7 +41,8 @@ from .cauchy import (
     survival_abs,
 )
 from .concentration import (
-    classify_scale,
+    _max_threshold,
+    _scale_cutoffs,
     dominating_survival,
     h_rate,
     plan_dimension_for_delta,
@@ -217,13 +218,22 @@ def _band(lam: float, epsilon: float) -> tuple[float, float]:
     # below sqrt(1+eps) the target is the symmetric (1 +- eps) mu band.
     # For lambda <= 8 eps^2 the upper side of that band is informational
     # only (no proven bound), but it is still the quantity to measure.
-    if classify_scale(lam, epsilon) == "large":
+    if lam >= _scale_cutoffs(epsilon)[0]:
         return mu(lam / (1.0 + epsilon)), mu((1.0 + epsilon) * lam)
     center = mu(lam)
     return (1.0 - epsilon) * center, (1.0 + epsilon) * center
 
 
 _CHUNK = 4_000_000
+
+
+def _draw_rows(rng: np.random.Generator, k: int, trials: int):
+    # `trials` rows of k standard Cauchy draws in stream order, yielded as
+    # (rows, k) arrays of about _CHUNK draws each.
+    rows_per_chunk = max(1, _CHUNK // k)
+    for done in range(0, trials, rows_per_chunk):
+        rows = min(rows_per_chunk, trials - done)
+        yield sample_standard_cauchy(rng, size=rows * k).reshape(rows, k)
 
 
 def run_concentration_trial(
@@ -239,18 +249,12 @@ def run_concentration_trial(
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     lo, hi = _band(lam, epsilon)
-    rng = make_generator(seed)
     fail_upper = 0
     fail_lower = 0
-    rows_per_chunk = max(1, _CHUNK // k)
-    done = 0
-    while done < trials:
-        rows = min(rows_per_chunk, trials - done)
-        draws = sample_standard_cauchy(rng, size=rows * k).reshape(rows, k)
+    for draws in _draw_rows(make_generator(seed), k, trials):
         means = xi(lam * np.abs(draws)).mean(axis=1)
         fail_upper += int(np.count_nonzero(means > hi))
         fail_lower += int(np.count_nonzero(means < lo))
-        done += rows
     return ConcentrationTrial(
         lam=lam, epsilon=epsilon, k=k, trials=trials, fail_upper=fail_upper, fail_lower=fail_lower
     )
@@ -334,19 +338,11 @@ def verify_max_bound(k: int, lam: float, delta: float, trials: int, seed: RngSee
         raise ValueError(f"lambda must be > 0, got {lam!r}")
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    c_k = math.e / delta
-    p_t = 1.0 / (k * c_k)
-    threshold = 1.0 / math.tan(math.pi / 2.0 * p_t)
-    rng = make_generator(seed)
+    _, threshold = _max_threshold(k, delta)
     exceed = 0
-    rows_per_chunk = max(1, _CHUNK // k)
-    done = 0
-    while done < trials:
-        rows = min(rows_per_chunk, trials - done)
-        draws = sample_standard_cauchy(rng, size=rows * k).reshape(rows, k)
+    for draws in _draw_rows(make_generator(seed), k, trials):
         # lambda scales maxima and threshold alike; compare at unit scale.
         exceed += int(np.count_nonzero(np.abs(draws).max(axis=1) > threshold))
-        done += rows
     frequency = exceed / trials
     se = math.sqrt(delta * (1.0 - delta) / trials)
     return {
@@ -556,7 +552,7 @@ def _suite_moments(seed: RngSeed, trials: int | None) -> VerificationReport:
 
     rng = make_generator(_subseed(seed, 102))
     lams = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=1000))
-    round_trip = mu_inverse(np.array([mu(float(l)) for l in lams]))
+    round_trip = mu_inverse(mu(lams))
     worst_rel = float(np.max(np.abs(round_trip - lams) / lams))
     cases.append(_bound_case("mu_inverse round trip, 1000 random scales", worst_rel, 0.0, 1e-10))
     return VerificationReport(suite="moments", cases=cases, rng=seed)

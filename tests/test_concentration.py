@@ -16,7 +16,6 @@ from cauchysketch.concentration import (
     V_SQUARED,
     chernoff_rate_large,
     chernoff_rate_small,
-    classify_scale,
     corollary_band,
     dominating_survival,
     h_rate,
@@ -26,8 +25,10 @@ from cauchysketch.concentration import (
     u_star_large,
     u_star_small_upper,
     xi_tail_bound,
+    _scale_cutoffs,
 )
 from cauchysketch.moments import mu, second_moment_ratio_bound
+from cauchysketch.sketch import regime_tag
 
 # Frozen reference values, mpmath at 50 decimal digits.
 A_PLUS_REF = 7.8943087904564313  # 64 pi / (e (pi^2 - 1/2))
@@ -210,19 +211,20 @@ class TestExponentOptimizers:
 
 class TestClassifyScale:
     def test_kinds(self):
+        # The two-sided guarantee's scale split, large / small / really small,
+        # read through regime_tag with the really-small cutoff set at 8 eps^2.
         eps = 0.25
-        assert classify_scale(2.0, eps) == "large"
-        assert classify_scale(math.sqrt(1.25), eps) == "large"  # boundary included
-        assert classify_scale(1.0, eps) == "small"
-        assert classify_scale(0.5, eps) == "really_small"  # 8 eps^2 included
-        assert classify_scale(0.51, eps) == "small"
-        assert classify_scale(1e-12, eps) == "really_small"
+        assert _scale_cutoffs(eps) == (math.sqrt(1.25), 0.5)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            classify_scale(0.0, 0.25)
-        with pytest.raises(ValueError):
-            classify_scale(1.0, 0.26)
+        def kind(lam):
+            return regime_tag(lam, eps, lambda0=8.0 * eps**2)
+
+        assert kind(2.0) == "large"
+        assert kind(math.sqrt(1.25)) == "large"  # boundary included
+        assert kind(1.0) == "small"
+        assert kind(0.5) == "really-small"  # 8 eps^2 included
+        assert kind(0.51) == "small"
+        assert kind(1e-12) == "really-small"
 
 
 class TestPlanner:

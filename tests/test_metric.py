@@ -136,6 +136,15 @@ class TestRho:
         with pytest.raises(ValueError):
             rho(np.empty(0), np.empty(0))
 
+    def test_overflowing_difference_raises(self):
+        # 1e308 - (-1e308) is past the largest float; no inf mean comes back
+        with pytest.raises(ValueError, match="finite"):
+            rho([1e308, 0.0], [-1e308, 0.0])
+        stack = np.array([[1.0, 0.0], [1e308, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            rho(stack, np.array([-1e308, 0.0]))
+        assert rho([1e308, 0.0], [0.0, 0.0]) > 0.0
+
 
 # Coordinates whose differences stay finite, as sketch_dataset guarantees.
 _coordinate = st.floats(-1e300, 1e300)

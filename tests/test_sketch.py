@@ -126,7 +126,10 @@ class TestRegimeTag:
     def test_tags(self):
         eps = 0.25
         assert regime_tag(2.0, eps) == "large"
+        assert regime_tag(math.sqrt(1.25), eps) == "large"  # sqrt(1+eps) included
         assert regime_tag(1.0, eps) == "small"
+        assert regime_tag(0.51, eps) == "small"
+        assert regime_tag(0.5, eps) == "unproven-upper"  # 8 eps^2 included
         assert regime_tag(0.0, eps) == "really-small"
         # at or below the max-of-iid cutoff the two-sided band is proven
         assert regime_tag(1e-13, eps, lambda0=1e-12) == "really-small"

@@ -37,10 +37,17 @@ class TestAtanh:
         x = 1e-12
         assert atanh_eval(x) == pytest.approx(x, rel=1e-15)
 
+    def test_array_matches_scalar(self):
+        xs = np.concatenate([[0.0, -0.0, 1e-300, math.nextafter(1.0, 0.0)], np.linspace(-0.99, 0.99, 41)])
+        assert atanh_eval(xs).tolist() == [atanh_eval(x) for x in xs.tolist()]
+        assert type(atanh_eval(np.float64(0.5))) is float
+
     def test_domain(self):
         for bad in (1.0, -1.0, 2.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 atanh_eval(bad)
+            with pytest.raises(ValueError):
+                atanh_eval(np.array([0.5, bad]))
 
     @given(
         st.floats(-0.95, 0.95, allow_nan=False),
