@@ -9,11 +9,13 @@ l1 norm. The property is about laws, so it is validated distributionally
 (Kolmogorov-Smirnov at fixed n), never per draw.
 
 Sampling is by inverse CDF, tan(pi (u - 1/2)) for u uniform on (0, 1):
-one uniform per draw and exactly reproducible. Degenerate uniforms
-(exactly 0 or 1) are redrawn. Streams come from numpy's PCG64 seeded
-through SeedSequence(entropy=seed, spawn_key=(stream_id,)), which is
-documented to be deterministic across platforms; the generator identity
-travels with sketch metadata so experiments can be replayed.
+one uniform per draw and exactly reproducible, transformed in place in
+the buffer the uniforms were drawn into. Generator.random is uniform on
+[0, 1), so the one pole it can hit is u = 0; such uniforms are redrawn.
+Streams come from numpy's PCG64 seeded through SeedSequence(entropy=seed,
+spawn_key=(stream_id,)), which is documented to be deterministic across
+platforms; the generator identity travels with sketch metadata so
+experiments can be replayed.
 """
 
 from __future__ import annotations
@@ -59,24 +61,21 @@ def make_generator(seed: RngSeed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _inverse_cdf(u):
-    # Median of Cauchy(1) is 0; quartiles are -+1.
-    return np.tan(np.pi * (np.asarray(u, dtype=np.float64) - 0.5))
-
-
 def sample_standard_cauchy(rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` values from Cauchy(1) via tan(pi (u - 1/2)), in
-    stream order.
+    stream order, holding one array of ``size`` floats.
 
-    Uniforms that land exactly on 0 or 1 are redrawn, so the transform
-    never sees its poles.
+    Uniforms that are exactly 0, the transform's pole, are redrawn in
+    place from the next uniforms of the stream. The median of Cauchy(1)
+    is 0 and its quartiles are -+1.
     """
     u = rng.random(size)
-    bad = (u == 0.0) | (u == 1.0)
-    while bad.any():
-        u[bad] = rng.random(int(bad.sum()))
-        bad = (u == 0.0) | (u == 1.0)
-    return _inverse_cdf(u)
+    while not u.all():
+        bad = u == 0.0
+        u[bad] = rng.random(int(np.count_nonzero(bad)))
+    u -= 0.5
+    u *= np.pi
+    return np.tan(u, out=u)
 
 
 def cdf_abs(t):

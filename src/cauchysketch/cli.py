@@ -16,6 +16,7 @@ The default seed comes from the CAUCHY_SKETCH_SEED environment variable
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -91,7 +92,6 @@ def cmd_sketch(args: argparse.Namespace, seed: RngSeed) -> int:
     k = args.k if args.k is not None else plan_dimension(args.epsilon, n, args.c).k
     _check_sketch_parameters(k, n, args.epsilon, args.c)
     coords = sketch_dataset(points, k, seed)
-    write_binary_matrix(args.output, coords)
     metadata = {
         "generator": GENERATOR_NAME,
         "version": __version__,
@@ -103,13 +103,37 @@ def cmd_sketch(args: argparse.Namespace, seed: RngSeed) -> int:
         "epsilon": float(args.epsilon),
         "c": float(args.c),
     }
-    with open(args.output + ".json", "w") as handle:
-        handle.write(json.dumps(metadata, sort_keys=True) + "\n")
+    _write_sketch(args.output, coords, metadata)
     print(
         f"sketched {n} points, d = {points.shape[1]} -> k = {k}; "
         f"wrote {args.output} and {args.output}.json"
     )
     return 0
+
+
+def _write_sketch(path, coords, metadata) -> None:
+    """Write the sketch matrix to ``path`` and its sidecar to ``path``.json.
+
+    Both go to temp files in the output directory first. The old sidecar
+    is unlinked before the matrix replaces the old one, and the new
+    sidecar comes last, so a crash leaves the old pair, the new pair, or
+    a matrix without a sidecar (which estimate rejects), never a new
+    matrix beside a stale sidecar. Temp files do not outlive an error.
+    """
+    sidecar = path + ".json"
+    matrix_tmp, sidecar_tmp = (f"{name}.{os.getpid()}.tmp" for name in (path, sidecar))
+    try:
+        write_binary_matrix(matrix_tmp, coords)
+        with open(sidecar_tmp, "w") as handle:
+            handle.write(json.dumps(metadata, sort_keys=True) + "\n")
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(sidecar)
+        os.replace(matrix_tmp, path)
+        os.replace(sidecar_tmp, sidecar)
+    finally:
+        for name in (matrix_tmp, sidecar_tmp):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(name)
 
 
 def cmd_estimate(args: argparse.Namespace, seed: RngSeed) -> int:

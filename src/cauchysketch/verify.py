@@ -227,6 +227,13 @@ def _band(lam: float, epsilon: float) -> tuple[float, float]:
 _CHUNK = 4_000_000
 
 
+def _scaled_abs(draws: np.ndarray, lam: float) -> np.ndarray:
+    # lam * |draws|, computed in the draws' own buffer.
+    np.abs(draws, out=draws)
+    draws *= lam
+    return draws
+
+
 def _draw_rows(rng: np.random.Generator, k: int, trials: int):
     # `trials` rows of k standard Cauchy draws in stream order, yielded as
     # (rows, k) arrays of about _CHUNK draws each.
@@ -252,7 +259,7 @@ def run_concentration_trial(
     fail_upper = 0
     fail_lower = 0
     for draws in _draw_rows(make_generator(seed), k, trials):
-        means = xi(lam * np.abs(draws)).mean(axis=1)
+        means = xi(_scaled_abs(draws, lam)).mean(axis=1)
         fail_upper += int(np.count_nonzero(means > hi))
         fail_lower += int(np.count_nonzero(means < lo))
     return ConcentrationTrial(
@@ -293,7 +300,7 @@ def empirical_k_search(
         if add <= 0:
             return
         draws = sample_standard_cauchy(rng, size=trials * add).reshape(trials, add)
-        block = np.cumsum(xi(lam * np.abs(draws)), axis=1)
+        block = np.cumsum(xi(_scaled_abs(draws, lam)), axis=1)
         if cum.shape[1]:
             block += cum[:, -1:]
         cum = np.concatenate([cum, block], axis=1)
@@ -342,7 +349,7 @@ def verify_max_bound(k: int, lam: float, delta: float, trials: int, seed: RngSee
     exceed = 0
     for draws in _draw_rows(make_generator(seed), k, trials):
         # lambda scales maxima and threshold alike; compare at unit scale.
-        exceed += int(np.count_nonzero(np.abs(draws).max(axis=1) > threshold))
+        exceed += int(np.count_nonzero(np.abs(draws, out=draws).max(axis=1) > threshold))
     frequency = exceed / trials
     se = math.sqrt(delta * (1.0 - delta) / trials)
     return {
@@ -580,7 +587,8 @@ def _suite_stability(seed: RngSeed, trials: int | None) -> VerificationReport:
                     f"1-stability KS, vector {i} (dim {dim}, n={n})", statistic, critical, 0.0
                 )
             )
-        direct = np.abs(sample_standard_cauchy(make_generator(_subseed(seed, 104)), n))
+        direct = sample_standard_cauchy(make_generator(_subseed(seed, 104)), n)
+        np.abs(direct, out=direct)
         cases.append(
             _bound_case(
                 f"KS of raw |X| draws vs cdf_abs (n={n})",
@@ -608,7 +616,7 @@ def _suite_tails(seed: RngSeed, trials: int | None) -> VerificationReport:
     if trials != 0:
         n = 1_000_000 if trials is None else trials
         for idx, lam in enumerate(lambdas):
-            draws = xi(lam * np.abs(sample_standard_cauchy(make_generator(_subseed(seed, 300 + idx)), n)))
+            draws = xi(_scaled_abs(sample_standard_cauchy(make_generator(_subseed(seed, 300 + idx)), n), lam))
             for t in t_grid[lam]:
                 if not _in_validity(lam, t):
                     continue
@@ -621,7 +629,7 @@ def _suite_tails(seed: RngSeed, trials: int | None) -> VerificationReport:
                     )
                 )
         for jdx, (lam, u) in enumerate(((0.5, 0.1), (0.5, 0.4), (1.0, 0.1), (1.0, 0.4))):
-            y = xi(lam * np.abs(sample_standard_cauchy(make_generator(_subseed(seed, 400 + jdx)), n)))
+            y = xi(_scaled_abs(sample_standard_cauchy(make_generator(_subseed(seed, 400 + jdx)), n), lam))
             uy = u * y
             diff = np.where(uy <= 1.0, np.exp(uy), 0.0) - 1.0 - uy - np.square(uy)
             se = float(np.std(diff) / math.sqrt(n))

@@ -2,6 +2,7 @@
 and the KS machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,43 @@ class TestSampling:
         n = 100_000
         draws = np.abs(sample_standard_cauchy(make_generator(SEED), size=n))
         assert ks_statistic(draws, cdf_abs) < ks_critical_value(n, 0.01)
+
+    def test_stream_is_the_inverse_cdf_of_the_uniforms(self):
+        # The reference transform the byte-identical contract rests on.
+        n = 100_000
+        draws = sample_standard_cauchy(make_generator(SEED), size=n)
+        reference = np.tan(np.pi * (make_generator(SEED).random(n) - 0.5))
+        assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
+
+    def test_zero_uniforms_are_redrawn_in_stream_order(self):
+        class StubGenerator:
+            # Hands out fixed uniform blocks and records the sizes asked for.
+            def __init__(self, *blocks):
+                self.blocks = [np.array(block) for block in blocks]
+                self.sizes = []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.blocks.pop(0)
+
+        # Zeros at 1 and 3 take 0.0 and 0.3 in order; the new zero at 1
+        # then takes 0.6.
+        rng = StubGenerator([0.25, 0.0, 0.7, 0.0, 0.9], [0.0, 0.3], [0.6])
+        draws = sample_standard_cauchy(rng, size=5)
+        assert rng.sizes == [5, 2, 1]
+        patched = np.array([0.25, 0.6, 0.7, 0.3, 0.9])
+        reference = np.tan(np.pi * (patched - 0.5))
+        assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
+
+    def test_large_draw_holds_one_array(self):
+        rng = make_generator(SEED)
+        tracemalloc.start()
+        try:
+            draws = sample_standard_cauchy(rng, size=1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * draws.nbytes
 
 
 class TestDistributionFunctions:

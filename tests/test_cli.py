@@ -112,6 +112,35 @@ class TestSketch:
              "--epsilon", "0.25", "--k", "4"]
         ) == 3
 
+    @pytest.mark.parametrize("failing_replace", [1, 2])
+    def test_interrupted_write_leaves_no_stale_sidecar(
+        self, dataset, tmp_path, monkeypatch, capsys, failing_replace
+    ):
+        # Replacing the matrix (1) or the sidecar (2) fails on a rerun with
+        # another seed, after the old sidecar is gone: the old or the new
+        # matrix is left without a sidecar, which estimate refuses.
+        out = run_sketch(dataset, tmp_path)
+        old_matrix = open(out, "rb").read()
+        real_replace = os.replace
+        calls = []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing_replace:
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(
+            ["sketch", "--input", dataset, "--output", out, "--epsilon", "0.25",
+             "--k", "400", "--seed", "8"]
+        ) == 3
+        monkeypatch.undo()
+        assert calls == [out, out + ".json"][:failing_replace]
+        assert sorted(os.listdir(tmp_path)) == ["points.csv", "sk.bin"]
+        assert (open(out, "rb").read() == old_matrix) == (failing_replace == 1)
+        assert main(["estimate", "--input", out]) == 3
+
     def test_bad_epsilon_exits_2(self, dataset, tmp_path):
         assert main(
             ["sketch", "--input", dataset, "--output", str(tmp_path / "z.bin"),

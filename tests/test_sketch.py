@@ -1,8 +1,10 @@
 """Projection construction, sketching, distance estimation, regime tags,
 and the dataset file formats."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +43,23 @@ class TestProjection:
         draws = sample_standard_cauchy(make_generator(SEED), size=20)
         assert np.array_equal(m.entries, draws.reshape(4, 5))
         assert m.entries[2, 3] == draws[2 * 5 + 3]
+
+    def test_entries_are_frozen(self):
+        # The bytes of a seeded projection, as 0.4.0 drew them.
+        entries = build_projection(64, 48, SEED).entries
+        assert hashlib.sha256(entries.tobytes()).hexdigest() == (
+            "a36eb6f28954285a8bb7566516d7f1f910c133ede5b710befa052674f87a5967"
+        )
+
+    def test_large_projection_holds_one_matrix(self):
+        # The isfinite mask of the entry check is the only other allocation.
+        tracemalloc.start()
+        try:
+            entries = build_projection(1024, 1024, SEED).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * entries.nbytes
 
     def test_entries_read_only(self):
         m = build_projection(2, 2, SEED)
