@@ -48,6 +48,8 @@ _BLOCK_ELEMENTS = 16_384
 
 def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
     plan = plan_dimension(args.epsilon, args.n, args.c)
+    # Refuse a k that sketch would refuse.
+    max_abs_plan(plan.k, args.epsilon, args.n, args.c)
     table = plan.regime_table()
     print(
         f"epsilon = {plan.epsilon:g}, N = {args.n}, c = {args.c:g}, "
@@ -66,31 +68,13 @@ def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
     return 0
 
 
-def _check_sketch_parameters(k, n_points, epsilon, c):
-    """Raise ValueError unless k >= 1 and n_points >= 2 are integers,
-    epsilon is in (0, 1/4], c >= 3 and the max-bound plan of these values
-    is finite: what a sketch may be made with. Returns that plan, whose
-    lambda0 the regime tags need."""
-    for name, value, low in (("k", k, 1), ("n_points", n_points, 2)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    for name, value in (("epsilon", epsilon), ("c", c)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-    if not 0.0 < epsilon <= 0.25:
-        raise ValueError(f"epsilon must be in (0, 1/4], got {epsilon!r}")
-    if not c >= 3.0:
-        raise ValueError(f"c must be >= 3, got {c!r}")
-    return max_abs_plan(k, epsilon, n_points, c)
-
-
 def cmd_sketch(args: argparse.Namespace, seed: RngSeed) -> int:
     points = read_points(args.input, args.format)
     n = points.shape[0]
     if n < 2:
         raise DatasetFormatError(f"need at least 2 points to sketch, got {n}")
     k = args.k if args.k is not None else plan_dimension(args.epsilon, n, args.c).k
-    _check_sketch_parameters(k, n, args.epsilon, args.c)
+    max_abs_plan(k, args.epsilon, n, args.c)
     coords = sketch_dataset(points, k, seed)
     metadata = {
         "generator": GENERATOR_NAME,
@@ -152,7 +136,7 @@ def cmd_estimate(args: argparse.Namespace, seed: RngSeed) -> int:
             raise DatasetFormatError(f"metadata sidecar {metadata_path} lacks {key!r}")
     n, k, epsilon, c = (metadata[key] for key in ("n_points", "k", "epsilon", "c"))
     try:
-        lambda0 = _check_sketch_parameters(k, n, epsilon, c).lambda0
+        lambda0 = max_abs_plan(k, epsilon, n, c).lambda0
     except ValueError as exc:
         raise DatasetFormatError(f"metadata sidecar {metadata_path}: {exc}") from None
     coords = read_binary_matrix(args.input)

@@ -28,9 +28,10 @@ gives per-pair failure probability at most delta.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .moments import mu
+from .moments import _check_epsilon, _check_lambda, mu
 
 __all__ = [
     "V_SQUARED",
@@ -78,6 +79,10 @@ _BRANCH_B_CONST = V_SQUARED + 4.0 + 2.0 * math.sqrt(2.0)
 
 _SIDES = ("upper", "lower")
 
+# Per-pair budgets delta at or below this make 2/delta, and so the planned
+# k, overflow.
+_MIN_DELTA = 2.0 / sys.float_info.max
+
 
 class RegimeError(ValueError):
     """A scale/accuracy pair outside the proven range of a bound.
@@ -89,13 +94,6 @@ class RegimeError(ValueError):
 
 class InfeasibleParameterError(ValueError):
     """Planner parameters outside the guarantee's hypotheses."""
-
-
-def _check_epsilon(epsilon: float) -> float:
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon <= 0.25:
-        raise ValueError(f"epsilon must be in (0, 1/4], got {epsilon!r}")
-    return epsilon
 
 
 def _check_side(side: str) -> str:
@@ -121,10 +119,8 @@ def dominating_survival(lam: float, t: float) -> float:
     an exact intermediate bound sitting between the true xi tail and the
     exponential envelopes of xi_tail_bound; tests pin the chain's order.
     """
-    lam = float(lam)
+    lam = _check_lambda(lam, positive=True)
     t = float(t)
-    if lam <= 0.0 or math.isnan(lam):
-        raise ValueError(f"lambda must be > 0, got {lam!r}")
     if t <= 0.0:
         return 1.0
     return (2.0 / math.pi) * math.atan(lam / math.expm1(t / 2.0) ** 2)
@@ -139,10 +135,8 @@ def xi_tail_bound(lam: float, t: float) -> float:
     Returns the smaller of the applicable ones; raises if t is below both
     thresholds.
     """
-    lam = float(lam)
+    lam = _check_lambda(lam, positive=True)
     t = float(t)
-    if lam <= 0.0 or math.isnan(lam):
-        raise ValueError(f"lambda must be > 0, got {lam!r}")
     two_over_pi = 2.0 / math.pi
     candidates = []
     if t >= 2.0:
@@ -190,9 +184,7 @@ def chernoff_rate_small(epsilon: float, lam: float, side: str) -> float:
     """
     epsilon = _check_epsilon(epsilon)
     _check_side(side)
-    lam = float(lam)
-    if lam <= 0.0 or math.isnan(lam):
-        raise ValueError(f"lambda must be > 0, got {lam!r}")
+    lam = _check_lambda(lam, positive=True)
     if side == "upper":
         if lam <= 8.0 * epsilon**2:
             raise RegimeError(
@@ -287,7 +279,7 @@ class ChernoffPlan:
     def regime_table(self) -> dict[str, float]:
         """Every candidate rate reciprocal the planner maximized over."""
         table = _static_candidates(self.epsilon)
-        table["really-small-lower"] = _really_small_lower_rate(self.epsilon, self.lambda0)
+        table["really-small-lower"] = _really_small_lower_rate(self.epsilon, math.log(self.lambda0))
         return table
 
 
@@ -301,26 +293,36 @@ def _static_candidates(epsilon: float) -> dict[str, float]:
     }
 
 
-def _really_small_lower_rate(epsilon: float, lambda0: float) -> float:
-    return 4.0 / epsilon**2 * (_SMALL_BASE_CONST - (4.0 / math.pi) * math.log(lambda0))
+def _really_small_lower_rate(epsilon: float, ln_lambda0: float) -> float:
+    return 4.0 / epsilon**2 * (_SMALL_BASE_CONST - (4.0 / math.pi) * ln_lambda0)
+
+
+def _ln_lambda0(epsilon: float, delta: float, k: int) -> float:
+    # ln of the really-small cutoff lambda0 = eps^2 pi delta/(8 k e), summed
+    # in log space; both plans take lambda0 as its exp.
+    return (
+        2.0 * math.log(epsilon) + math.log(math.pi) - math.log(8.0) - 1.0 + math.log(delta)
+        - math.log(k)
+    )
 
 
 def _plan(epsilon: float, delta: float) -> ChernoffPlan:
+    try:
+        epsilon = _check_epsilon(epsilon)
+    except ValueError as exc:
+        raise InfeasibleParameterError(str(exc)) from None
+    if epsilon < delta:
+        raise InfeasibleParameterError(f"epsilon must be >= delta = {delta!r}, got {epsilon!r}")
     log_two_over_delta = math.log(2.0 / delta)
-    # N^c = 1/delta throughout; the cutoff lambda0 = eps^2 pi delta/(8 k e)
-    # enters the really-small lower branch through -ln(lambda0).
-    ln_lambda0_minus_ln_k = (
-        2.0 * math.log(epsilon) + math.log(math.pi) - math.log(8.0) - 1.0 + math.log(delta)
-    )
-
     static = _static_candidates(epsilon)
     static_max = max(static.values())
 
+    # lambda0 depends on k, and enters the really-small lower branch
+    # through -ln(lambda0): iterate to the fixed point.
     k = max(1, math.ceil(log_two_over_delta * static_max))
     rate_a = 0.0
     for _ in range(32):
-        ln_lambda0 = ln_lambda0_minus_ln_k - math.log(k)
-        rate_a = 4.0 / epsilon**2 * (_SMALL_BASE_CONST - (4.0 / math.pi) * ln_lambda0)
+        rate_a = _really_small_lower_rate(epsilon, _ln_lambda0(epsilon, delta, k))
         k_next = max(1, math.ceil(log_two_over_delta * max(static_max, rate_a)))
         if k_next == k:
             break
@@ -340,8 +342,25 @@ def _plan(epsilon: float, delta: float) -> ChernoffPlan:
         u_star_upper=u_star_large(epsilon, "upper"),
         u_star_lower=u_star_large(epsilon, "lower"),
         binding_regime=binding,
-        lambda0=math.exp(ln_lambda0_minus_ln_k - math.log(k)),
+        lambda0=math.exp(_ln_lambda0(epsilon, delta, k)),
     )
+
+
+def _budget(n_points: int, c: float) -> float:
+    # The per-pair budget delta = N^{-c} of an N-point plan, after an
+    # InfeasibleParameterError unless N >= 2 is an integer (not a bool),
+    # c >= 3 is a number (so the union over N^2 pairs still vanishes) and
+    # delta > 2/float max (so ln(2/delta) is finite).
+    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 2:
+        raise InfeasibleParameterError(f"n_points must be an integer >= 2, got {n_points!r}")
+    if isinstance(c, bool) or not isinstance(c, (int, float)) or not c >= 3.0:
+        raise InfeasibleParameterError(f"c must be a number >= 3, got {c!r}")
+    delta = math.exp(-float(c) * math.log(n_points))
+    if delta <= _MIN_DELTA:
+        raise InfeasibleParameterError(
+            f"N^(-c) underflows for N={n_points!r}, c={c!r}: delta must be > 2/float max"
+        )
+    return delta
 
 
 def plan_dimension(epsilon: float, n_points: int, c: float) -> ChernoffPlan:
@@ -353,20 +372,7 @@ def plan_dimension(epsilon: float, n_points: int, c: float) -> ChernoffPlan:
     the slightly wider corollary_band. The per-pair budget is
     delta = N^{-c}; feasibility requires c >= 3 and N^{-c} <= eps <= 1/4.
     """
-    if not isinstance(n_points, int) or n_points < 2:
-        raise InfeasibleParameterError(f"n_points must be an integer >= 2, got {n_points!r}")
-    c = float(c)
-    if math.isnan(c) or c < 3.0:
-        raise InfeasibleParameterError(f"c must be >= 3, got {c!r}")
-    epsilon = float(epsilon)
-    delta = math.exp(-c * math.log(n_points))
-    if delta == 0.0:
-        raise InfeasibleParameterError(f"N^(-c) underflows for N={n_points!r}, c={c!r}")
-    if math.isnan(epsilon) or not delta <= epsilon <= 0.25:
-        raise InfeasibleParameterError(
-            f"epsilon must satisfy N^(-c) = {delta!r} <= epsilon <= 1/4, got {epsilon!r}"
-        )
-    return _plan(epsilon, delta)
+    return _plan(epsilon, _budget(n_points, c))
 
 
 def plan_dimension_for_delta(epsilon: float, delta: float) -> ChernoffPlan:
@@ -374,16 +380,11 @@ def plan_dimension_for_delta(epsilon: float, delta: float) -> ChernoffPlan:
 
     Same machinery as plan_dimension with N^{-c} replaced by delta; used
     for single-pair experiments where the union bound over N points is not
-    wanted. Requires delta <= epsilon <= 1/4.
+    wanted. Requires 2/float max < delta <= epsilon <= 1/4.
     """
-    epsilon = float(epsilon)
     delta = float(delta)
-    if math.isnan(delta) or not 0.0 < delta < 1.0:
-        raise InfeasibleParameterError(f"delta must be in (0, 1), got {delta!r}")
-    if math.isnan(epsilon) or not delta <= epsilon <= 0.25:
-        raise InfeasibleParameterError(
-            f"epsilon must satisfy delta <= epsilon <= 1/4, got {epsilon!r}"
-        )
+    if not _MIN_DELTA < delta < 1.0:
+        raise InfeasibleParameterError(f"delta must be in (2/float max, 1), got {delta!r}")
     return _plan(epsilon, delta)
 
 
@@ -439,18 +440,14 @@ def max_abs_plan(k: int, epsilon: float, n_points: int, c: float) -> MaxBoundPla
     1/(k C_k) survival quantile of |X| (so t = 1/tan(pi/(2 k C_k)),
     at most 2ke/(pi delta)), and records the really-small cutoff
     lambda0 = eps^2 pi delta/(8 k e) together with c0 = eps^2/4.
+
+    This is the gate every sketch passes: plan, sketch and estimate all
+    refuse the (k, epsilon, N, c) it raises ValueError on.
     """
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     epsilon = _check_epsilon(epsilon)
-    if not isinstance(n_points, int) or n_points < 2:
-        raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
-    c = float(c)
-    if math.isnan(c) or c <= 0.0:
-        raise ValueError(f"c must be > 0, got {c!r}")
-    delta = math.exp(-c * math.log(n_points))
-    if delta == 0.0:
-        raise ValueError(f"N^(-c) underflows for N={n_points!r}, c={c!r}")
+    delta = _budget(n_points, c)
     c_k = math.e / delta
     if math.isinf(k * c_k):
         # the threshold's survival quantile 1/(k C_k) would be 0
@@ -463,7 +460,7 @@ def max_abs_plan(k: int, epsilon: float, n_points: int, c: float) -> MaxBoundPla
         alpha=c_k,
         p_t=p_t,
         threshold_t=threshold_t,
-        lambda0=epsilon**2 * math.pi * delta / (8.0 * k * math.e),
+        lambda0=math.exp(_ln_lambda0(epsilon, delta, k)),
         c0=epsilon**2 / 4.0,
     )
 

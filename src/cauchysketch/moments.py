@@ -61,6 +61,17 @@ def _check_lambda(lam, *, positive: bool = False):
     return float(lam) if lam.ndim == 0 else lam
 
 
+def _check_epsilon(epsilon) -> float:
+    # epsilon as a float after a ValueError unless it is a number (not a
+    # bool) in (0, 1/4], the accuracy range of every bound.
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+        raise ValueError(f"epsilon must be a number, got {epsilon!r}")
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon <= 0.25:
+        raise ValueError(f"epsilon must be in (0, 1/4], got {epsilon!r}")
+    return epsilon
+
+
 def mu(lam):
     """Mean map mu(lambda) = E xi(lambda |X|), in closed form.
 
@@ -205,9 +216,7 @@ def deviations(lam: float, epsilon: float) -> DeviationPair:
     returned but only positivity is guaranteed.
     """
     lam = _check_lambda(lam, positive=True)
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon <= 0.25:
-        raise ValueError(f"epsilon must be in (0, 1/4], got {epsilon!r}")
+    epsilon = _check_epsilon(epsilon)
     m = mu(lam)
     return DeviationPair(
         delta_plus=mu((1.0 + epsilon) * lam) - m,

@@ -50,6 +50,7 @@ from .concentration import (
 )
 from .metric import xi
 from .moments import (
+    _check_lambda,
     deviations,
     expected_log1p,
     mu,
@@ -175,9 +176,7 @@ def quadrature_mean(fn: str, lam: float, tol: float = 1e-12) -> float:
     """
     if fn not in _INTEGRANDS:
         raise ValueError(f"fn must be one of {sorted(_INTEGRANDS)}, got {fn!r}")
-    lam = float(lam)
-    if lam <= 0.0 or math.isinf(lam) or math.isnan(lam):
-        raise ValueError(f"lambda must be finite and > 0, got {lam!r}")
+    lam = _check_lambda(lam, positive=True)
     tol = float(tol)
     if tol < 1e-13:
         raise ValueError(f"tol must be >= 1e-13, got {tol!r}")
@@ -248,9 +247,7 @@ def run_concentration_trial(
 ) -> ConcentrationTrial:
     """Simulate `trials` sketch means (1/k) sum_i xi(lambda |X_i|) and
     count exits above and below the regime band."""
-    lam = float(lam)
-    if lam <= 0.0 or math.isnan(lam):
-        raise ValueError(f"lambda must be > 0, got {lam!r}")
+    lam = _check_lambda(lam, positive=True)
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if not isinstance(trials, int) or trials < 1:
@@ -285,9 +282,7 @@ def empirical_k_search(
     target_fail = float(target_fail)
     if not 0.0 < target_fail <= 0.1:
         raise ValueError(f"target_fail must be in (0, 0.1], got {target_fail!r}")
-    lam = float(lam)
-    if lam <= 0.0 or math.isnan(lam):
-        raise ValueError(f"lambda must be > 0, got {lam!r}")
+    lam = _check_lambda(lam, positive=True)
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     lo_band, hi_band = _band(lam, epsilon)
@@ -340,9 +335,7 @@ def verify_max_bound(k: int, lam: float, delta: float, trials: int, seed: RngSee
     delta = float(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta!r}")
-    lam = float(lam)
-    if lam <= 0.0 or math.isnan(lam):
-        raise ValueError(f"lambda must be > 0, got {lam!r}")
+    lam = _check_lambda(lam, positive=True)
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     _, threshold = _max_threshold(k, delta)

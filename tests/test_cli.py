@@ -60,7 +60,21 @@ class TestPlan:
 
     def test_infeasible_exits_2(self, capsys):
         assert main(["plan", "--epsilon", "0.5", "--n", "100"]) == 2
-        assert main(["plan", "--epsilon", "0.25", "--n", "10", "--c", "400.0"]) == 2
+        for c in ("400.0", "310"):
+            assert main(["plan", "--epsilon", "0.25", "--n", "10", "--c", c]) == 2
+            assert "N^(-c) underflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, c", [(10, "305"), (2, "998")])
+    def test_plan_refuses_what_sketch_refuses(self, tmp_path, capsys, n, c):
+        # The planned k (42,105,977 and 40,879,716) makes k e N^c overflow;
+        # sketch stops at that gate before it draws a projection.
+        path = tmp_path / "points.csv"
+        path.write_text("".join(f"{i},0\n" for i in range(n)))
+        assert main(["plan", "--epsilon", "0.25", "--n", str(n), "--c", c]) == 2
+        assert main(["sketch", "--input", str(path), "--output", str(tmp_path / "sk.bin"),
+                     "--epsilon", "0.25", "--c", c]) == 2
+        assert capsys.readouterr().err.count("k e N^c overflows") == 2
+        assert not os.path.exists(tmp_path / "sk.bin")
 
 
 class TestSketch:

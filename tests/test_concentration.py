@@ -269,9 +269,18 @@ class TestPlanner:
         )
 
     def test_lambda0_consistent_with_max_plan(self):
-        plan = plan_dimension(0.25, 100, 3)
-        mb = max_abs_plan(plan.k, 0.25, 100, 3)
-        assert plan.lambda0 == pytest.approx(mb.lambda0, rel=1e-12)
+        # One formula gives both cutoffs, so they agree bit for bit.
+        feasible = 0
+        for eps in (0.25, 0.1, 0.01):
+            for n in (2, 3, 10, 100, 1000):
+                for c in (3, 3.5, 4, 5, 10, 20):
+                    try:
+                        plan = plan_dimension(eps, n, c)
+                    except InfeasibleParameterError:
+                        continue
+                    assert plan.lambda0 == max_abs_plan(plan.k, eps, n, c).lambda0, (eps, n, c)
+                    feasible += 1
+        assert feasible == 82
 
     @given(st.floats(0.02, 0.24))
     def test_k_decreasing_in_epsilon(self, eps):
@@ -296,6 +305,8 @@ class TestPlanner:
             plan_dimension(0.25, 10, 400)  # N^-c underflows
         with pytest.raises(InfeasibleParameterError):
             plan_dimension_for_delta(0.25, 0.0)
+        with pytest.raises(InfeasibleParameterError):
+            plan_dimension_for_delta(0.25, 1e-310)  # 2/delta overflows
         with pytest.raises(InfeasibleParameterError):
             plan_dimension_for_delta(0.001, 0.01)  # delta > epsilon
 
@@ -340,6 +351,12 @@ class TestMaxBoundPlan:
             max_abs_plan(10, 0.3, 100, 3)
         with pytest.raises(ValueError):
             max_abs_plan(10, 0.25, 1, 3)
+        with pytest.raises(ValueError):
+            max_abs_plan(10, 0.25, 100, 2.5)
+        with pytest.raises(ValueError):
+            max_abs_plan(True, 0.25, 100, 3)
+        with pytest.raises(ValueError):
+            max_abs_plan(10, "0.25", 100, 3)
 
 
 class TestCorollaryBand:

@@ -8,6 +8,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
 from cauchysketch.cli import main
@@ -123,6 +126,17 @@ class TestProjectAndEstimate:
     def test_sketch_dataset_ragged_rows(self):
         with pytest.raises(ValueError):
             sketch_dataset([[1.0, 2.0], [3.0]], 8, SEED)
+
+    @given(st.data())
+    def test_sketch_is_linear(self, data):
+        # sketch(X) - sketch(Y) = sketch(X - Y) up to the rounding of the
+        # products and of X - Y, both within 1e-9 of (|X| + |Y|) |F|^T.
+        n, d, k = (data.draw(st.integers(1, high)) for high in (5, 6, 64))
+        floats = st.floats(-1e6, 1e6, allow_subnormal=False)
+        x, y = (data.draw(arrays(np.float64, (n, d), elements=floats)) for _ in range(2))
+        gap = sketch_dataset(x, k, SEED) - sketch_dataset(y, k, SEED) - sketch_dataset(x - y, k, SEED)
+        scale = (np.abs(x) + np.abs(y)) @ np.abs(build_projection(k, d, SEED).entries).T
+        assert np.all(np.abs(gap) <= 1e-9 * scale)
 
 
 class TestSketchConfig:

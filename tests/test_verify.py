@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from cauchysketch.cauchy import RngSeed
-from cauchysketch.concentration import plan_dimension_for_delta
+from cauchysketch.concentration import (
+    chernoff_rate_small,
+    dominating_survival,
+    plan_dimension_for_delta,
+    xi_tail_bound,
+)
 from cauchysketch.moments import mu
 from cauchysketch.verify import (
     SUITES,
@@ -28,6 +33,33 @@ MU_ONE = 1.2279471772995156799
 EXISQ_ONE = 2.2173960713046813194
 EXISQ_HALF = 1.3419679088902937016
 ELOG1P_HALF = 0.626341499429429467
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam: dominating_survival(lam, 3.0),
+        lambda lam: xi_tail_bound(lam, 3.0),
+        lambda lam: chernoff_rate_small(0.25, lam, "lower"),
+        lambda lam: quadrature_mean("xi", lam),
+        lambda lam: run_concentration_trial(lam, 0.25, 4, 4, SEED),
+        lambda lam: empirical_k_search(lam, 0.25, 0.01, SEED, trials=4),
+        lambda lam: verify_max_bound(4, lam, 0.01, 4, SEED),
+    ],
+    ids=[
+        "dominating_survival",
+        "xi_tail_bound",
+        "chernoff_rate_small",
+        "quadrature_mean",
+        "run_concentration_trial",
+        "empirical_k_search",
+        "verify_max_bound",
+    ],
+)
+def test_lambda_must_be_finite_and_positive(call, lam):
+    with pytest.raises(ValueError, match="lambda"):
+        call(lam)
 
 
 class TestQuadratureOracle:
