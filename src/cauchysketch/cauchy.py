@@ -11,7 +11,10 @@ l1 norm. The property is about laws, so it is validated distributionally
 Sampling is by inverse CDF, tan(pi (u - 1/2)) for u uniform on (0, 1):
 one uniform per draw and exactly reproducible, transformed in place in
 the buffer the uniforms were drawn into. Generator.random is uniform on
-[0, 1), so the one pole it can hit is u = 0; such uniforms are redrawn.
+[0, 1), and its u = 0 maps to tan of -pi/2 rounded to float64, the
+finite -1.633123935319537e16, so the transform has no pole to avoid and
+draw i is a function of uniform i alone: a stream cut into pieces gives
+the same values as one draw.
 Streams come from numpy's PCG64 seeded through SeedSequence(entropy=seed,
 spawn_key=(stream_id,)), which is documented to be deterministic across
 platforms; the generator identity travels with sketch metadata so
@@ -65,14 +68,11 @@ def sample_standard_cauchy(rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` values from Cauchy(1) via tan(pi (u - 1/2)), in
     stream order, holding one array of ``size`` floats.
 
-    Uniforms that are exactly 0, the transform's pole, are redrawn in
-    place from the next uniforms of the stream. The median of Cauchy(1)
-    is 0 and its quartiles are -+1.
+    Consumes exactly ``size`` uniforms. A uniform of exactly 0 gives
+    -1.633123935319537e16, the largest magnitude a draw can have. The
+    median of Cauchy(1) is 0 and its quartiles are -+1.
     """
     u = rng.random(size)
-    while not u.all():
-        bad = u == 0.0
-        u[bad] = rng.random(int(np.count_nonzero(bad)))
     u -= 0.5
     u *= np.pi
     return np.tan(u, out=u)

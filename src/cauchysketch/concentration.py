@@ -105,8 +105,8 @@ def _check_side(side: str) -> str:
 def h_rate(x: float) -> float:
     """H(x) = x ln x + 1 - x, the exponent rate of the max-of-iid bound."""
     x = float(x)
-    if x < 0.0 or math.isnan(x):
-        raise ValueError(f"h_rate requires x >= 0, got {x!r}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"h_rate requires finite x >= 0, got {x!r}")
     if x == 0.0:
         return 1.0
     return x * math.log(x) + 1.0 - x
@@ -446,6 +446,8 @@ def max_abs_plan(k: int, epsilon: float, n_points: int, c: float) -> MaxBoundPla
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    if k > sys.float_info.max:
+        raise ValueError(f"k must fit a float, got a {k.bit_length()}-bit integer")
     epsilon = _check_epsilon(epsilon)
     delta = _budget(n_points, c)
     c_k = math.e / delta
@@ -476,9 +478,7 @@ def corollary_band(lam: float, epsilon: float, lambda0: float) -> tuple[float, f
     """
     epsilon = _check_epsilon(epsilon)
     lam = float(lam)
-    lambda0 = float(lambda0)
-    if lambda0 <= 0.0 or math.isnan(lambda0):
-        raise ValueError(f"lambda0 must be > 0, got {lambda0!r}")
+    lambda0 = _check_lambda(lambda0, positive=True)
     if not 0.0 < lam <= lambda0:
         raise ValueError(f"corollary band needs 0 < lambda <= lambda0={lambda0!r}, got {lam!r}")
     four_eps_sq = 4.0 * epsilon**2

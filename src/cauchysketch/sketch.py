@@ -10,12 +10,15 @@ mu_inverse(rho(u, v)) turns it back into a distance estimate.
 
 Everything is deterministic in (points, k, seed): matrix entries come
 from a single seeded stream in row-major order, so entry (i, j) is draw
-number i*d + j regardless of how the matrix is later traversed.
+number i*d + j regardless of how the matrix is later traversed. Each
+sketch coordinate needs one row of F, so sketch_dataset draws F a block
+of rows at a time and never holds it whole; build_projection draws the
+same entries at once.
 
-File formats owned here: CSV (one point per row, optional header) and a
-raw binary layout (two little-endian uint64 giving the row and column
-counts, then row-major little-endian float64 payload) used both for input
-datasets and sketch output.
+File formats owned here: CSV (one point per row, optional header, parsed
+by numpy's loadtxt) and a raw binary layout (two little-endian uint64
+giving the row and column counts, then row-major little-endian float64
+payload) used both for input datasets and sketch output.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ __all__ = [
 # past anything this sketch is meant for.
 MAX_ENTRIES = 2**31
 
+# Entries of F that sketch_dataset draws per block of rows: 8 MB of
+# float64, at least one row.
+_BLOCK_ENTRIES = 2**20
+
 
 class DatasetFormatError(ValueError):
     """Malformed dataset or sketch file (bad header, ragged rows, ...)."""
@@ -69,14 +76,18 @@ class ProjectionMatrix:
             raise ValueError("projection entries must be finite")
 
 
-def build_projection(
-    k: int, d: int, seed: RngSeed, max_entries: int = MAX_ENTRIES
-) -> ProjectionMatrix:
-    """Draw the k x d Cauchy projection for a seed, row-major from one stream."""
+def _check_shape(k, d, max_entries: int) -> None:
     if not isinstance(k, int) or not isinstance(d, int) or k < 1 or d < 1:
         raise ValueError(f"k and d must be integers >= 1, got k={k!r}, d={d!r}")
     if k * d > max_entries:
         raise ValueError(f"k*d = {k * d} exceeds the entry budget {max_entries}")
+
+
+def build_projection(
+    k: int, d: int, seed: RngSeed, max_entries: int = MAX_ENTRIES
+) -> ProjectionMatrix:
+    """Draw the k x d Cauchy projection for a seed, row-major from one stream."""
+    _check_shape(k, d, max_entries)
     rng = make_generator(seed)
     entries = sample_standard_cauchy(rng, size=k * d).reshape(k, d)
     entries.setflags(write=False)
@@ -86,15 +97,31 @@ def build_projection(
 def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
     """Sketch an (N, d) point set into the (N, k) array X F^T, in input order.
 
-    F is build_projection(k, d, seed), shared by every point. Raises
-    ValueError when a product overflows: finite points can still produce
-    an infinite sketch coordinate, which no distance could be read from.
-    Raises it too when a column's max - min overflows, since that bounds
-    the difference of every pair of rows the estimate takes.
+    F has the entries of build_projection(k, d, seed), shared by every
+    point. It is drawn and applied a block of rows at a time (about
+    _BLOCK_ENTRIES entries), so the memory held is the sketch plus one
+    block. Raises ValueError when a product overflows: finite points can
+    still produce an infinite sketch coordinate, which no distance could
+    be read from. Raises it too when a column's max - min overflows,
+    since that bounds the difference of every pair of rows the estimate
+    takes.
     """
     arr = _as_point_array(points)
+    d = arr.shape[1]
+    _check_shape(k, d, MAX_ENTRIES)
+    rows = max(1, _BLOCK_ENTRIES // d)
+    if rows > 64:
+        # Block edges on multiples of 64 rows fall on BLAS register-tile
+        # edges, so most blocks round like the same rows of one product.
+        rows -= rows % 64
+    rng = make_generator(seed)
+    coords = np.empty((arr.shape[0], k))
     with np.errstate(over="ignore", invalid="ignore"):
-        coords = arr @ build_projection(k, arr.shape[1], seed).entries.T
+        for lo in range(0, k, rows):
+            hi = min(k, lo + rows)
+            block = sample_standard_cauchy(rng, (hi - lo) * d).reshape(hi - lo, d)
+            np.matmul(arr, block.T, out=coords[:, lo:hi])
+            del block  # the next block takes its place
         if not np.isfinite(coords).all():
             raise ValueError("sketch coordinates overflow float64; rescale the points")
         spread = coords.max(axis=0) - coords.min(axis=0)
@@ -155,26 +182,39 @@ def read_points(path, fmt: str) -> np.ndarray:
 
 
 def read_csv_matrix(path) -> np.ndarray:
-    """Parse comma-separated points, one per row; a non-numeric first row
-    is treated as a header and skipped."""
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if rows and not _all_numeric(rows[0]):
-        rows = rows[1:]
-    if not rows:
+    """Parse comma-separated points, one per row, with numpy's loadtxt; a
+    non-numeric first non-blank row is treated as a header and skipped.
+
+    Fields are ASCII decimal or scientific notation, optionally quoted
+    with '"'; '#' is data, not a comment. Blank lines are skipped.
+    """
+    try:  # UnicodeDecodeError is a ValueError too
+        skip = _header_lines(path)
+        data = None if skip is None else np.loadtxt(
+            path, delimiter=",", comments=None, quotechar='"', skiprows=skip, ndmin=2
+        )
+    except (ValueError, csv.Error) as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+    if data is None:
         raise DatasetFormatError(f"{path}: no data rows")
-    width = len(rows[0])
-    data = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DatasetFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        try:
-            data[i] = [float(field) for field in row]
-        except ValueError:
-            raise DatasetFormatError(f"{path}: non-numeric field in row {i}") from None
     if not np.isfinite(data).all():
         raise DatasetFormatError(f"{path}: non-finite value in data")
     return data
+
+
+def _header_lines(path) -> int | None:
+    # Lines before the data: 0, or through the header when the first
+    # non-blank row is not all numbers. None when no row holds data.
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        rows = (row for row in reader if row)
+        first = next(rows, None)
+        if first is None:
+            return None
+        if _all_numeric(first):
+            return 0
+        header_lines = reader.line_num
+        return header_lines if next(rows, None) is not None else None
 
 
 def _all_numeric(row) -> bool:

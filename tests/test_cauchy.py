@@ -84,24 +84,25 @@ class TestSampling:
         reference = np.tan(np.pi * (make_generator(SEED).random(n) - 0.5))
         assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
 
-    def test_zero_uniforms_are_redrawn_in_stream_order(self):
+    def test_zero_uniform_maps_in_place(self):
         class StubGenerator:
-            # Hands out fixed uniform blocks and records the sizes asked for.
-            def __init__(self, *blocks):
-                self.blocks = [np.array(block) for block in blocks]
+            # Hands out one fixed uniform block and records the sizes asked for.
+            def __init__(self, block):
+                self.block = np.array(block)
                 self.sizes = []
 
             def random(self, size):
                 self.sizes.append(size)
-                return self.blocks.pop(0)
+                return self.block
 
-        # Zeros at 1 and 3 take 0.0 and 0.3 in order; the new zero at 1
-        # then takes 0.6.
-        rng = StubGenerator([0.25, 0.0, 0.7, 0.0, 0.9], [0.0, 0.3], [0.6])
+        # A zero uniform is not redrawn: tan(-pi/2 rounded) is finite, so
+        # draw i depends on uniform i alone and no extra uniform is taken.
+        uniforms = [0.25, 0.0, 0.7, 0.0, 0.9]
+        rng = StubGenerator(uniforms)
         draws = sample_standard_cauchy(rng, size=5)
-        assert rng.sizes == [5, 2, 1]
-        patched = np.array([0.25, 0.6, 0.7, 0.3, 0.9])
-        reference = np.tan(np.pi * (patched - 0.5))
+        assert rng.sizes == [5]
+        assert draws[1] == draws[3] == -1.633123935319537e16
+        reference = np.tan(np.pi * (np.array(uniforms) - 0.5))
         assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
 
     def test_large_draw_holds_one_array(self):

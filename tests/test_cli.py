@@ -119,6 +119,13 @@ class TestSketch:
             ["sketch", "--input", str(tmp_path / "missing.csv"),
              "--output", str(tmp_path / "x.bin"), "--epsilon", "0.25", "--k", "4"]
         ) == 3
+        # float() reads "1_000" as 1000; the CSV grammar does not
+        underscored = tmp_path / "underscored.csv"
+        underscored.write_text("1_000,2\n3,4\n")
+        assert main(
+            ["sketch", "--input", str(underscored), "--output", str(tmp_path / "z.bin"),
+             "--epsilon", "0.25", "--k", "4"]
+        ) == 3
         lonely = tmp_path / "one.csv"
         lonely.write_text("1.0,2.0\n")
         assert main(
@@ -267,7 +274,7 @@ class TestEstimate:
         assert main(["estimate", "--input", sk]) == 3
         good = {"k": 400, "n_points": 4, "epsilon": 0.25, "c": 3.0}
         # 4^-600 underflows; at c = 510, k e 4^c overflows for k = 400
-        for broken in ({"k": "abc"}, {"k": None}, {"k": 400.0}, {"k": True}, {"k": 0},
+        for broken in ({"k": "abc"}, {"k": None}, {"k": 400.0}, {"k": True}, {"k": 0}, {"k": 10**400},
                        {"n_points": 2.5}, {"n_points": 1}, {"c": "x"}, {"c": 2.0},
                        {"c": math.nan}, {"c": 600.0}, {"c": 510.0}, {"epsilon": 0.9},
                        {"epsilon": "0.25"}, {"epsilon": 0}):

@@ -80,8 +80,9 @@ class TestHRate:
         assert h_rate(x) >= 0.0
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            h_rate(-0.5)
+        for bad in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                h_rate(bad)
 
 
 class TestTailBounds:
@@ -355,6 +356,8 @@ class TestMaxBoundPlan:
             max_abs_plan(10, 0.25, 100, 2.5)
         with pytest.raises(ValueError):
             max_abs_plan(True, 0.25, 100, 3)
+        with pytest.raises(ValueError, match="fit a float"):
+            max_abs_plan(10**400, 0.25, 100, 3)  # k * C_k would raise OverflowError
         with pytest.raises(ValueError):
             max_abs_plan(10, "0.25", 100, 3)
 
@@ -378,6 +381,9 @@ class TestCorollaryBand:
             corollary_band(0.0, 0.25, 1e-12)
         with pytest.raises(ValueError):
             corollary_band(1e-13, 0.3, 1e-12)
+        for lambda0 in (math.inf, math.nan, 0.0, -1e-12):
+            with pytest.raises(ValueError):
+                corollary_band(1e300, 0.25, lambda0)
 
 
 class TestDeviationFloorFeedsRates:

@@ -194,6 +194,15 @@ class TestRhoOfStack:
             assert values[j] == rho(u, v)
 
     @given(_stack_and_row())
+    def test_estimates_are_symmetric(self, case):
+        # |u - v| and |v - u| round alike, so both directions share their bits.
+        stack, v = case
+        there = rho(stack, v)
+        back = np.array([rho(v, u) for u in stack])
+        assert np.array_equal(there.view(np.uint64), back.view(np.uint64))
+        assert np.array_equal(mu_inverse(there).view(np.uint64), mu_inverse(back).view(np.uint64))
+
+    @given(_stack_and_row())
     def test_estimate_zero_exactly_on_equal_rows(self, case):
         stack, v = case
         estimates = mu_inverse(rho(stack, v))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cauchysketch import sketch as sketch_module
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
 from cauchysketch.cli import main
+from cauchysketch.concentration import max_abs_plan
 from cauchysketch.metric import rho
 from cauchysketch.moments import mu_inverse
 from cauchysketch.sketch import (
@@ -139,6 +142,61 @@ class TestProjectAndEstimate:
         assert np.all(np.abs(gap) <= 1e-9 * scale)
 
 
+class TestBlockedSketch:
+    """sketch_dataset draws F a block of rows at a time."""
+
+    @pytest.mark.parametrize("d, k", [(7, 50), (3, 200), (64, 9), (300, 5)])
+    def test_blocks_are_rows_of_the_projection(self, monkeypatch, d, k):
+        # 256-entry blocks: 7 does not divide the block, 300 exceeds it.
+        points = make_generator(RngSeed(5, 14)).standard_normal((6, d))
+        entries = build_projection(k, d, SEED).entries
+        sizes = []
+
+        def recording(rng, size):
+            sizes.append(size)
+            return sample_standard_cauchy(rng, size)
+
+        monkeypatch.setattr(sketch_module, "_BLOCK_ENTRIES", 256)
+        monkeypatch.setattr(sketch_module, "sample_standard_cauchy", recording)
+        coords = sketch_dataset(points, k, SEED)
+        assert len(sizes) >= 2 and all(size % d == 0 and size <= max(256, d) for size in sizes)
+        bounds = np.cumsum([0] + [size // d for size in sizes])
+        assert bounds[-1] == k
+        # Each block is one product with rows lo..hi of build_projection's F,
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            np.testing.assert_array_equal(coords[:, lo:hi], points @ entries[lo:hi].copy().T)
+        # so the sketch is X F^T up to the rounding of a differently split product.
+        scale = np.abs(points) @ np.abs(entries).T
+        assert np.all(np.abs(coords - points @ entries.T) <= 1e-14 * scale)
+
+    def test_sketch_holds_coords_and_one_block(self):
+        # k = 8192 rows of d = 1024 in 8 blocks; the 64 MB F never exists.
+        points = make_generator(RngSeed(5, 15)).standard_normal((8, 1024))
+        tracemalloc.start()
+        try:
+            coords = sketch_dataset(points, 8192, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= coords.nbytes + 1.25 * sketch_module._BLOCK_ENTRIES * 8
+
+    @given(st.data())
+    def test_duplicate_points_estimate_zero_really_small(self, data):
+        # The library pair path: rho of a stack, one mu_inverse, one regime_tag.
+        n, d, k = (data.draw(st.integers(low, high)) for low, high in ((2, 6), (1, 5), (1, 48)))
+        points = data.draw(arrays(np.float64, (n, d), elements=st.floats(-1e6, 1e6)))
+        copies = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        points = points[copies]
+        coords = sketch_dataset(points, k, SEED)
+        lambda0 = max_abs_plan(k, 0.25, n, 3.0).lambda0
+        for i in range(n - 1):
+            estimates = mu_inverse(rho(coords[i + 1 :], coords[i]))
+            tags = regime_tag(estimates, 0.25, lambda0)
+            same = np.array([copies[j] == copies[i] for j in range(i + 1, n)])
+            assert (estimates[same] == 0.0).all()
+            assert (tags[same] == "really-small").all()
+
+
 class TestSketchConfig:
     def test_target_dimension_override(self, tmp_path):
         # --k replaces the planned dimension (338846 at eps = 0.25, N = 100, c = 3)
@@ -252,6 +310,12 @@ class TestCsvFormat:
         path.write_text("x,y\n1.0,2.0\n3.0,4.5\n")
         assert np.array_equal(read_csv_matrix(str(path)), [[1.0, 2.0], [3.0, 4.5]])
 
+    def test_quoted_header_spanning_lines(self, tmp_path):
+        # loadtxt skips every line the header takes, blank lines around it too
+        path = tmp_path / "pts.csv"
+        path.write_text('\n"x\nunit",y\n\n1.0,2.0\n3.0,4.5\n')
+        assert np.array_equal(read_csv_matrix(str(path)), [[1.0, 2.0], [3.0, 4.5]])
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("1.0,2.0\n\n3.0,4.5\n\n")
@@ -289,6 +353,65 @@ class TestCsvFormat:
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("x,y\n")
+        with pytest.raises(DatasetFormatError):
+            read_csv_matrix(str(path))
+
+    def test_header_and_blank_lines_only_rejected_without_warning(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("\n\nx,y\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="no data rows"):
+                read_csv_matrix(str(path))
+
+    def test_grammar_matches_float(self, tmp_path):
+        # Padded, quoted, signed and dot-edged fields, CRLF, a quoted numeric
+        # first row (data, not a header) and a subnormal.
+        path = tmp_path / "pts.csv"
+        rows = ['"1","2",-0,.5', " 5. , +1.25 ,1e-320,4.9e-324", "\n", "-1.5E3,2e+0,0,7"]
+        path.write_bytes("\r\n".join(rows).encode())
+        data = read_csv_matrix(str(path))
+        fields = [f.strip().strip('"') for row in rows if row.strip() for f in row.split(",")]
+        expected = np.array([float(f) for f in fields]).reshape(3, 4)
+        assert np.array_equal(data.view(np.uint64), expected.view(np.uint64))
+
+    def test_parse_is_float_bit_for_bit(self, tmp_path):
+        # Random bit patterns (all exponents), subnormals and -0, written as
+        # %.17g and as the shortest repr; loadtxt reads what float() reads.
+        rng = np.random.default_rng(9)
+        values = rng.integers(0, 2**64, size=2000, dtype=np.uint64).view(np.float64)
+        subnormals = rng.integers(1, 2**52, size=200, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([values[np.isfinite(values)], subnormals, -subnormals, [0.0, -0.0]])
+        fields = [f"{v:.17g}" for v in values.tolist()] + [repr(v) for v in values.tolist()]
+        fields = fields[: len(fields) // 8 * 8]
+        path = tmp_path / "pts.csv"
+        path.write_text("".join(",".join(fields[i : i + 8]) + "\n" for i in range(0, len(fields), 8)))
+        data = read_csv_matrix(str(path))
+        expected = np.array([float(f) for f in fields]).reshape(-1, 8)
+        assert np.array_equal(data.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "row", ["1_000,2", "\u0661,2", "\uff11,2", "0x10,2", "1,2,", "#1,2", "1e309,2", "inf,2"]
+    )
+    def test_outside_grammar_rejected(self, tmp_path, row):
+        # float() reads the first three (underscore, Arabic-Indic and
+        # fullwidth digits); loadtxt does not. Hex, a trailing comma and '#'
+        # fail to parse; an overflowing or infinite value is not finite.
+        path = tmp_path / "pts.csv"
+        path.write_text(f"x,y\n3,4\n{row}\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError):
+            read_csv_matrix(str(path))
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"3,\xff\n", b"1,2\n" * 5000 + b"3,\xff\n", b'"' + b"1" * 200_000 + b'",2\n'],
+        ids=["undecodable-first-row", "undecodable-later-row", "overlong-field"],
+    )
+    def test_unreadable_bytes_rejected(self, tmp_path, content):
+        # Undecodable in the rows the header scan reads or past them, and a
+        # field past the csv module's 131,072-character limit.
+        path = tmp_path / "pts.csv"
+        path.write_bytes(content)
         with pytest.raises(DatasetFormatError):
             read_csv_matrix(str(path))
 
