@@ -24,6 +24,7 @@ experiments can be replayed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,22 @@ GENERATOR_NAME = "pcg64-seedseq"
 _U64_MAX = 2**64 - 1
 
 
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int, after a ValueError unless it is an
+    integer of any type ``operator.index`` takes (numpy's included), not a
+    bool, and at least ``minimum``."""
+    message = f"{name} must be an integer >= {minimum}, got {value!r}"
+    if isinstance(value, bool):
+        raise ValueError(message)
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(message) from None
+    if count < minimum:
+        raise ValueError(message)
+    return count
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """A (seed, stream_id) pair naming one deterministic sample stream."""
@@ -53,9 +70,11 @@ class RngSeed:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not isinstance(value, int) or not 0 <= value <= _U64_MAX:
+        for name in ("seed", "stream_id"):
+            value = _check_count(name, getattr(self, name), 0)
+            if value > _U64_MAX:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 def make_generator(seed: RngSeed) -> np.random.Generator:
@@ -109,8 +128,7 @@ def stable_combination(v, rng: np.random.Generator, size: int) -> np.ndarray:
         raise ValueError("stable_combination requires a non-empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("stable_combination requires finite weights")
-    if not isinstance(size, int) or size < 1:
-        raise ValueError(f"size must be a positive integer, got {size!r}")
+    size = _check_count("size", size, 1)
     draws = sample_standard_cauchy(rng, size * v.size).reshape(size, v.size)
     return draws @ v
 
@@ -143,6 +161,5 @@ def ks_critical_value(n: int, level: float = 0.01) -> float:
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"ks_critical_value requires 0 < level < 1, got {level!r}")
-    if n <= 0:
-        raise ValueError("ks_critical_value requires n >= 1")
+    n = _check_count("n", n, 1)
     return math.sqrt(-math.log(level / 2.0) / 2.0) / math.sqrt(n)

@@ -31,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .cauchy import _check_count
 from .moments import _check_epsilon, _check_lambda, mu
 
 __all__ = [
@@ -351,8 +352,10 @@ def _budget(n_points: int, c: float) -> float:
     # InfeasibleParameterError unless N >= 2 is an integer (not a bool),
     # c >= 3 is a number (so the union over N^2 pairs still vanishes) and
     # delta > 2/float max (so ln(2/delta) is finite).
-    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 2:
-        raise InfeasibleParameterError(f"n_points must be an integer >= 2, got {n_points!r}")
+    try:
+        n_points = _check_count("n_points", n_points, 2)
+    except ValueError as exc:
+        raise InfeasibleParameterError(str(exc)) from None
     if isinstance(c, bool) or not isinstance(c, (int, float)) or not c >= 3.0:
         raise InfeasibleParameterError(f"c must be a number >= 3, got {c!r}")
     delta = math.exp(-float(c) * math.log(n_points))
@@ -444,8 +447,7 @@ def max_abs_plan(k: int, epsilon: float, n_points: int, c: float) -> MaxBoundPla
     This is the gate every sketch passes: plan, sketch and estimate all
     refuse the (k, epsilon, N, c) it raises ValueError on.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    k = _check_count("k", k, 1)
     if k > sys.float_info.max:
         raise ValueError(f"k must fit a float, got a {k.bit_length()}-bit integer")
     epsilon = _check_epsilon(epsilon)

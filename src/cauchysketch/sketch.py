@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import RngSeed, make_generator, sample_standard_cauchy
+from .cauchy import RngSeed, _check_count, make_generator, sample_standard_cauchy
 from .concentration import _scale_cutoffs
 
 __all__ = [
@@ -76,18 +76,19 @@ class ProjectionMatrix:
             raise ValueError("projection entries must be finite")
 
 
-def _check_shape(k, d, max_entries: int) -> None:
-    if not isinstance(k, int) or not isinstance(d, int) or k < 1 or d < 1:
-        raise ValueError(f"k and d must be integers >= 1, got k={k!r}, d={d!r}")
+def _check_shape(k, d, max_entries: int) -> tuple[int, int]:
+    k = _check_count("k", k, 1)
+    d = _check_count("d", d, 1)
     if k * d > max_entries:
         raise ValueError(f"k*d = {k * d} exceeds the entry budget {max_entries}")
+    return k, d
 
 
 def build_projection(
     k: int, d: int, seed: RngSeed, max_entries: int = MAX_ENTRIES
 ) -> ProjectionMatrix:
     """Draw the k x d Cauchy projection for a seed, row-major from one stream."""
-    _check_shape(k, d, max_entries)
+    k, d = _check_shape(k, d, max_entries)
     rng = make_generator(seed)
     entries = sample_standard_cauchy(rng, size=k * d).reshape(k, d)
     entries.setflags(write=False)
@@ -108,7 +109,7 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
     """
     arr = _as_point_array(points)
     d = arr.shape[1]
-    _check_shape(k, d, MAX_ENTRIES)
+    k, d = _check_shape(k, d, MAX_ENTRIES)
     rows = max(1, _BLOCK_ENTRIES // d)
     if rows > 64:
         # Block edges on multiples of 64 rows fall on BLAS register-tile

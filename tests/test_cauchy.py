@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cauchysketch.cauchy import (
     GENERATOR_NAME,
     RngSeed,
+    _check_count,
     cdf_abs,
     ks_critical_value,
     ks_statistic,
@@ -19,6 +20,14 @@ from cauchysketch.cauchy import (
     sample_standard_cauchy,
     stable_combination,
     survival_abs,
+)
+from cauchysketch.concentration import max_abs_plan, plan_dimension
+from cauchysketch.sketch import build_projection, sketch_dataset
+from cauchysketch.verify import (
+    empirical_k_search,
+    run_concentration_trial,
+    run_suite,
+    verify_max_bound,
 )
 
 SEED = RngSeed(20240817, 0)
@@ -216,3 +225,51 @@ class TestKolmogorovSmirnov:
         samples = np.abs(sample_standard_cauchy(rng, size=n))
         d = ks_statistic(samples, cdf_abs)
         assert 0.0 <= d <= 1.0
+
+
+class TestCountArguments:
+    def test_check_count(self):
+        for value in (5, np.int64(5), np.uint64(5), np.int8(5)):
+            count = _check_count("n", value, 1)
+            assert count == 5 and type(count) is int
+        for bad in (True, False, np.True_, 5.0, "5", None, 0, -3):
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                _check_count("n", bad, 1)
+
+    # Every count argument of the package, called with a valid Python int.
+    SITES = {
+        "RngSeed seed": (lambda n: RngSeed(n, 0), 7),
+        "RngSeed stream_id": (lambda n: RngSeed(0, n), 7),
+        "stable_combination size": (
+            lambda n: stable_combination([1.0, -2.0], make_generator(SEED), n).tolist(),
+            3,
+        ),
+        "ks_critical_value n": (lambda n: ks_critical_value(n), 100),
+        "plan_dimension n_points": (lambda n: plan_dimension(0.25, n, 3.0), 10),
+        "max_abs_plan k": (lambda n: max_abs_plan(n, 0.25, 10, 3.0), 64),
+        "sketch_dataset k": (lambda n: sketch_dataset(np.ones((2, 3)), n, SEED).tolist(), 4),
+        "build_projection d": (lambda n: build_projection(2, n, SEED), 3),
+        "run_concentration_trial k": (lambda n: run_concentration_trial(1.0, 0.25, n, 20, SEED), 8),
+        "run_concentration_trial trials": (
+            lambda n: run_concentration_trial(1.0, 0.25, 8, n, SEED),
+            20,
+        ),
+        "empirical_k_search trials": (
+            lambda n: empirical_k_search(2.0, 0.25, 0.1, SEED, trials=n),
+            50,
+        ),
+        "verify_max_bound k": (lambda n: verify_max_bound(n, 1.0, 0.5, 50, SEED), 10),
+        "verify_max_bound trials": (lambda n: verify_max_bound(10, 1.0, 0.5, n, SEED), 50),
+        "run_suite trials": (
+            lambda n: run_suite("maxbound", SEED, trials=n).to_jsonl_lines(),
+            20,
+        ),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_numpy_integer_same_as_int_and_bool_rejected(self, site):
+        call, value = self.SITES[site]
+        # repr tells a Python int from a numpy integer holding the same value
+        assert repr(call(np.int64(value))) == repr(call(value))
+        with pytest.raises(ValueError):
+            call(True)

@@ -1,8 +1,9 @@
-"""Special functions against frozen high-precision oracles and their
-functional equations."""
+"""Special functions against frozen high-precision oracles, live mpmath
+values and their functional equations."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -96,6 +97,18 @@ class TestPolylog:
         # On (0, 1): x <= Li_b(x) <= x Li_b(1) since j^-b weights decay.
         assert x <= li(b, x) <= x * li(b, 1.0) + 1e-15
 
+    def test_negative_arguments_match_mpmath(self):
+        # -1 <= x < 0 is the accelerated alternating sum; x = -1 needs b > 1.
+        worst = 0.0
+        with mpmath.workdps(40):
+            for b in (0.75, 1.5, 2.0, 3.0):
+                for x in np.linspace(-1.0, -0.01, 41).tolist():
+                    if x == -1.0 and b <= 1.0:
+                        continue
+                    exact = float(mpmath.re(mpmath.polylog(b, x)))
+                    worst = max(worst, abs(li(b, x) - exact) / abs(exact))
+        assert worst <= 2e-15
+
     def test_domain(self):
         with pytest.raises(ValueError):
             li(2.0, 1.5)
@@ -116,6 +129,15 @@ class TestTi2:
         assert ti2(2.0) == pytest.approx(TI2_TWO, abs=1e-13)
         assert ti2(10.0) == pytest.approx(TI2_TEN, abs=1e-13)
         assert ti2(0.0) == 0.0
+
+    def test_matches_mpmath(self):
+        # Ti_2(x) = Im Li_2(i x), on both sides of the inversion at x = 1.
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x in np.logspace(-6, 6, 41).tolist() + [1.0]:
+                exact = float(mpmath.im(mpmath.polylog(2, 1j * mpmath.mpf(x))))
+                worst = max(worst, abs(ti2(x) - exact) / exact)
+        assert worst <= 2e-15
 
     def test_inversion_formula(self):
         for x in (2.0, 10.0, 100.0):

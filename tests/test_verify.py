@@ -180,11 +180,9 @@ class TestReportPlumbing:
         report.cases.append({"case": "c", "pass": False, "gated": True})
         assert not report.gated_pass
 
-    def test_jsonl_round_trip(self, tmp_path):
+    def test_jsonl_round_trip(self):
         report = run_suite("specfun", SEED)
-        path = tmp_path / "report.jsonl"
-        report.write_jsonl(str(path))
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        lines = [json.loads(line) for line in report.to_jsonl_lines()]
         assert len(lines) == len(report.cases) + 1
         summary = lines[-1]
         assert summary["summary"] is True
@@ -199,11 +197,9 @@ class TestReportPlumbing:
         for line in report.to_jsonl_lines():
             assert "runtime" not in line
 
-    def test_reports_byte_identical(self, tmp_path):
-        p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        run_suite("stability", SEED, trials=2000).write_jsonl(p1)
-        run_suite("stability", SEED, trials=2000).write_jsonl(p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+    def test_reports_byte_identical(self):
+        first = run_suite("stability", SEED, trials=2000).to_jsonl_lines()
+        assert run_suite("stability", SEED, trials=2000).to_jsonl_lines() == first
 
 
 class TestSuites:
