@@ -14,7 +14,8 @@ the buffer the uniforms were drawn into. Generator.random is uniform on
 [0, 1), and its u = 0 maps to tan of -pi/2 rounded to float64, the
 finite -1.633123935319537e16, so the transform has no pole to avoid and
 draw i is a function of uniform i alone: a stream cut into pieces gives
-the same values as one draw.
+the same values as one draw. That is what lets a large draw be filled
+from both ends at once (see sample_standard_cauchy).
 Streams come from numpy's PCG64 seeded through SeedSequence(entropy=seed,
 spawn_key=(stream_id,)), which is documented to be deterministic across
 platforms; the generator identity travels with sketch metadata so
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +47,49 @@ __all__ = [
 GENERATOR_NAME = "pcg64-seedseq"
 
 _U64_MAX = 2**64 - 1
+
+
+# Threads the bulk kernels (the Cauchy draw, xi, the estimate's pair loop)
+# split one array over: the CPUs this process may run on, at most 2. Every
+# kernel writes the same bits at any lane count.
+_LANES = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+# Smaller arrays take one lane: at 2^16 draws two lanes cost 6.3-7.6 ns a
+# draw against 5.4 ns on one.
+_LANE_MIN_ELEMENTS = 2**18
+# Elements a kernel transforms per step while they sit in cache (512 KB).
+_TILE = 2**16
+
+
+def _lanes(elements: int) -> int:
+    """Lanes a kernel over this many elements is split over: 1 or 2."""
+    return _LANES if elements >= _LANE_MIN_ELEMENTS else 1
+
+
+def _in_two_lanes(first, second) -> None:
+    """Run second() on a worker thread while the caller runs first(); wait
+    for both, then raise the caller's exception, or else the worker's.
+
+    numpy's ufuncs and Generator fills release the GIL, so two lanes over
+    disjoint slices of one array use two CPUs.
+    """
+    failure = []
+
+    def run() -> None:
+        try:
+            second()
+        except BaseException as exc:  # re-raised in the caller
+            failure.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        first()
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
 
 
 def _check_count(name: str, value, minimum: int) -> int:
@@ -90,11 +136,44 @@ def sample_standard_cauchy(rng: np.random.Generator, size: int) -> np.ndarray:
     Consumes exactly ``size`` uniforms. A uniform of exactly 0 gives
     -1.633123935319537e16, the largest magnitude a draw can have. The
     median of Cauchy(1) is 0 and its quartiles are -+1.
+
+    From 2^18 draws on, with two CPUs, a PCG64 stream is cut in two: the
+    caller's generator fills the first half while a copy advanced past
+    it (PCG64.advance, a jump-ahead in O(log size) steps) fills the
+    second on another thread. The caller's generator then takes the
+    copy's end state, so values and the stream after them are those of
+    one serial draw. Other bit generators are drawn serially.
     """
-    u = rng.random(size)
-    u -= 0.5
-    u *= np.pi
-    return np.tan(u, out=u)
+    size = _check_count("size", size, 0)
+    out = np.empty(size)
+    if _lanes(size) == 1 or type(rng.bit_generator) is not np.random.PCG64:
+        return _fill_cauchy(rng, out)
+    cut = size // 2
+    start = rng.bit_generator.state
+    ahead = np.random.PCG64()
+    ahead.state = start
+    ahead.advance(cut)
+    _in_two_lanes(
+        lambda: _fill_cauchy(rng, out[:cut]),
+        lambda: _fill_cauchy(np.random.Generator(ahead), out[cut:]),
+    )
+    # advance drops a buffered 32-bit half; a serial double draw keeps it.
+    end = ahead.state
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    rng.bit_generator.state = end
+    return out
+
+
+def _fill_cauchy(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    # The next out.size draws of rng's stream into the contiguous float64
+    # buffer out, one cache-sized tile at a time.
+    for lo in range(0, out.size, _TILE):
+        tile = out[lo : lo + _TILE]
+        rng.random(out=tile)
+        tile -= 0.5
+        tile *= np.pi
+        np.tan(tile, out=tile)
+    return out
 
 
 def cdf_abs(t):

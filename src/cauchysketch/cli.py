@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cauchy import GENERATOR_NAME, RngSeed
+from .cauchy import GENERATOR_NAME, RngSeed, _in_two_lanes, _lanes
 from .concentration import max_abs_plan, plan_dimension
 from .metric import rho
 from .moments import mu_inverse
@@ -41,9 +41,10 @@ from .verify import SUITES, run_suite
 
 __all__ = ["main"]
 
-# Cap on the pair differences one rho call takes: 128 KB of float64 per
-# temporary, which keeps the xi passes in cache.
-_BLOCK_ELEMENTS = 16_384
+# Cap on the pair differences one rho call takes: 512 KB of float64 per
+# temporary, one xi tile. With two lanes, 16K-element blocks ran slower
+# than one lane: the per-call Python work, under the GIL, dominated.
+_BLOCK_ELEMENTS = 65_536
 
 
 def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
@@ -145,15 +146,25 @@ def cmd_estimate(args: argparse.Namespace, seed: RngSeed) -> int:
             f"sketch shape {coords.shape} does not match metadata (n_points={n}, k={k})"
         )
     # Row i against rows i+1.. in blocks of at most _BLOCK_ELEMENTS
-    # differences; each block is one rho call.
+    # differences; each block is one rho call. Pairs (i, j) of rows i in
+    # `rows` fill their own slice of rhos, so two lanes can share it.
     block_rows = max(1, _BLOCK_ELEMENTS // k)
     rhos = np.empty(n * (n - 1) // 2)
-    done = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n, block_rows):
-            block = rho(coords[j : j + block_rows], coords[i])
-            rhos[done : done + block.size] = block
-            done += block.size
+
+    def fill(rows: range) -> None:
+        done = rows.start * (2 * n - 1 - rows.start) // 2
+        for i in rows:
+            for j in range(i + 1, n, block_rows):
+                block = rho(coords[j : j + block_rows], coords[i])
+                rhos[done : done + block.size] = block
+                done += block.size
+
+    if _lanes(rhos.size * k) == 1:
+        fill(range(n - 1))
+    else:
+        # The first row whose pairs start at or past half the pairs.
+        cut = next(i for i in range(n) if i * (2 * n - 1 - i) >= rhos.size)
+        _in_two_lanes(lambda: fill(range(cut)), lambda: fill(range(cut, n - 1)))
     estimates = mu_inverse(rhos)
     tags = regime_tag(estimates, epsilon, lambda0)
     table = _pair_table(n, rhos, estimates, tags)

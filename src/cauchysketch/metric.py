@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cauchy import _TILE, _in_two_lanes, _lanes
+
 __all__ = ["xi", "rho", "xi_small_envelope"]
 
 
@@ -26,17 +28,36 @@ def xi(a):
     scalars or arrays. Bounded by ln(1+a) <= xi(a) <= 2 ln(1 + sqrt(a)).
     """
     a = np.asarray(a, dtype=np.float64)
-    if not (a >= 0.0).all():  # also false on NaN
-        raise ValueError("xi requires a >= 0")
-    # Accumulated in place: two temporaries fewer than the plain expression
-    # on the cache-sized blocks rho passes, and no more than two alive
-    # beside a on the large arrays of the Monte Carlo suites. The sum
-    # commutes, so the bits are those of log1p(sqrt(a)) + 0.5 * log1p(a).
-    root = np.log1p(np.sqrt(a))
-    out = np.log1p(a)
-    out *= 0.5
-    out += root
+    out = np.empty(a.shape)
+    # Tile by tile into out, so besides a and out only one tile per lane
+    # is alive; xi is elementwise, so tiles and lanes keep every bit.
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    starts = range(0, a.size, _TILE)
+    if _lanes(a.size) == 1:
+        _xi_tiles(flat, flat_out, starts)
+    else:
+        cut = len(starts) // 2
+        _in_two_lanes(
+            lambda: _xi_tiles(flat, flat_out, starts[:cut]),
+            lambda: _xi_tiles(flat, flat_out, starts[cut:]),
+        )
     return float(out) if out.ndim == 0 else out
+
+
+def _xi_tiles(a, out, starts) -> None:
+    root = np.empty(min(_TILE, a.size))
+    for lo in starts:
+        tile, dst = a[lo : lo + _TILE], out[lo : lo + _TILE]
+        if not (tile >= 0.0).all():  # also false on NaN
+            raise ValueError("xi requires a >= 0")
+        # The sum commutes, so the bits are those of
+        # log1p(sqrt(a)) + 0.5 * log1p(a).
+        part = root[: tile.size]
+        np.sqrt(tile, out=part)
+        np.log1p(part, out=part)
+        np.log1p(tile, out=dst)
+        dst *= 0.5
+        dst += part
 
 
 def rho(u, v):

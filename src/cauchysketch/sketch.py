@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import RngSeed, _check_count, make_generator, sample_standard_cauchy
+from .cauchy import RngSeed, _check_count, _fill_cauchy, make_generator, sample_standard_cauchy
 from .concentration import _scale_cutoffs
 
 __all__ = [
@@ -100,12 +100,12 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
 
     F has the entries of build_projection(k, d, seed), shared by every
     point. It is drawn and applied a block of rows at a time (about
-    _BLOCK_ENTRIES entries), so the memory held is the sketch plus one
-    block. Raises ValueError when a product overflows: finite points can
-    still produce an infinite sketch coordinate, which no distance could
-    be read from. Raises it too when a column's max - min overflows,
-    since that bounds the difference of every pair of rows the estimate
-    takes.
+    _BLOCK_ENTRIES entries) into one reused buffer, so the memory held is
+    the sketch plus one block. Raises ValueError when a product
+    overflows: finite points can still produce an infinite sketch
+    coordinate, which no distance could be read from. Raises it too when
+    a column's max - min overflows, since that bounds the difference of
+    every pair of rows the estimate takes.
     """
     arr = _as_point_array(points)
     d = arr.shape[1]
@@ -117,12 +117,16 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
         rows -= rows % 64
     rng = make_generator(seed)
     coords = np.empty((arr.shape[0], k))
+    buffer = np.empty(min(rows, k) * d)  # every block is drawn into it
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, k, rows):
             hi = min(k, lo + rows)
-            block = sample_standard_cauchy(rng, (hi - lo) * d).reshape(hi - lo, d)
+            # One lane: after each matmul, OpenBLAS's threads spin on the
+            # other CPU for a while, and a second draw lane there measured
+            # 0.205 -> 0.25 s per wide sketch. It wins only with BLAS on
+            # one thread.
+            block = _fill_cauchy(rng, buffer[: (hi - lo) * d]).reshape(hi - lo, d)
             np.matmul(arr, block.T, out=coords[:, lo:hi])
-            del block  # the next block takes its place
         if not np.isfinite(coords).all():
             raise ValueError("sketch coordinates overflow float64; rescale the points")
         spread = coords.max(axis=0) - coords.min(axis=0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cauchysketch.cauchy as cauchy_module
 from cauchysketch.cauchy import (
     GENERATOR_NAME,
     RngSeed,
@@ -95,14 +96,16 @@ class TestSampling:
 
     def test_zero_uniform_maps_in_place(self):
         class StubGenerator:
-            # Hands out one fixed uniform block and records the sizes asked for.
+            # Fills the buffer it is given from one fixed uniform block and
+            # records the sizes asked for.
             def __init__(self, block):
                 self.block = np.array(block)
                 self.sizes = []
 
-            def random(self, size):
-                self.sizes.append(size)
-                return self.block
+            def random(self, *, out):
+                self.sizes.append(out.size)
+                out[...] = self.block
+                return out
 
         # A zero uniform is not redrawn: tan(-pi/2 rounded) is finite, so
         # draw i depends on uniform i alone and no extra uniform is taken.
@@ -113,6 +116,11 @@ class TestSampling:
         assert draws[1] == draws[3] == -1.633123935319537e16
         reference = np.tan(np.pi * (np.array(uniforms) - 0.5))
         assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("size", [2.0, (2,), None, -1])
+    def test_size_is_a_count(self, size):
+        with pytest.raises(ValueError, match="size must be an integer >= 0"):
+            sample_standard_cauchy(make_generator(SEED), size)
 
     def test_large_draw_holds_one_array(self):
         rng = make_generator(SEED)
@@ -245,6 +253,10 @@ class TestCountArguments:
             3,
         ),
         "ks_critical_value n": (lambda n: ks_critical_value(n), 100),
+        "sample_standard_cauchy size": (
+            lambda n: sample_standard_cauchy(make_generator(SEED), n).tolist(),
+            5,
+        ),
         "plan_dimension n_points": (lambda n: plan_dimension(0.25, n, 3.0), 10),
         "max_abs_plan k": (lambda n: max_abs_plan(n, 0.25, 10, 3.0), 64),
         "sketch_dataset k": (lambda n: sketch_dataset(np.ones((2, 3)), n, SEED).tolist(), 4),
@@ -273,3 +285,36 @@ class TestCountArguments:
         assert repr(call(np.int64(value))) == repr(call(value))
         with pytest.raises(ValueError):
             call(True)
+
+
+class TestLanes:
+    """A large PCG64 draw is split over two lanes by jump-ahead; the bits
+    and the stream after the draw are those of one lane."""
+
+    def _draw(self, monkeypatch, lanes, rng, size):
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        return sample_standard_cauchy(rng, size)
+
+    @pytest.mark.parametrize("size", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**16 + 5, 4_000_000])
+    def test_lanes_change_no_bits(self, monkeypatch, size):
+        results = []
+        for lanes in (1, 2):
+            rng = make_generator(SEED)
+            rng.integers(0, 10, dtype=np.uint32)  # leaves half a 64-bit output buffered
+            draws = self._draw(monkeypatch, lanes, rng, size)
+            results.append((draws, rng.bit_generator.state, sample_standard_cauchy(rng, 77)))
+        (one, state_one, next_one), (two, state_two, next_two) = results
+        assert np.array_equal(one.view(np.uint64), two.view(np.uint64))
+        assert state_one == state_two
+        assert np.array_equal(next_one.view(np.uint64), next_two.view(np.uint64))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators_draw_in_one_lane(self, monkeypatch, bit_generator):
+        # None of these jumps ahead by draws (Philox advances by blocks of
+        # four outputs); their streams are drawn serially.
+        size = 2**18 + 3
+        rng = np.random.Generator(bit_generator(11))
+        draws = self._draw(monkeypatch, 2, rng, size)
+        uniforms = np.random.Generator(bit_generator(11)).random(size)
+        reference = np.tan(np.pi * (uniforms - 0.5))
+        assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))

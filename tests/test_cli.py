@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cauchysketch.cauchy as cauchy_module
 from cauchysketch.cli import main
 from cauchysketch.concentration import max_abs_plan, plan_dimension
 from cauchysketch.metric import rho
@@ -290,7 +291,7 @@ class TestEstimate:
         assert main(["estimate", "--input", sk]) == 0
 
     def test_pair_table_matches_per_pair_definitions(self, tmp_path):
-        # k = 1000 does not divide the 16,384-element block, so each of the
+        # k = 5000 does not divide the 65,536-element block, so each of the
         # first rows spans several blocks; the scales give all four tags.
         rng = np.random.default_rng(4)
         scales = np.repeat([1e-13, 1e-3, 0.05, 1.0], 10)[:, None]
@@ -298,10 +299,10 @@ class TestEstimate:
         np.savetxt(path, rng.standard_normal((40, 3)) * scales, delimiter=",")
         sk, out = str(tmp_path / "mixed.bin"), str(tmp_path / "pairs.csv")
         assert main(["sketch", "--input", str(path), "--output", sk, "--epsilon", "0.25",
-                     "--k", "1000", "--seed", "3"]) == 0
+                     "--k", "5000", "--seed", "3"]) == 0
         assert main(["estimate", "--input", sk, "--output", out]) == 0
         coords = read_binary_matrix(sk)
-        lambda0 = max_abs_plan(1000, 0.25, 40, 3.0).lambda0
+        lambda0 = max_abs_plan(5000, 0.25, 40, 3.0).lambda0
         rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
         pairs = [(i, j) for i in range(40) for j in range(i + 1, 40)]
         assert [(int(r[0]), int(r[1])) for r in rows] == pairs
@@ -327,6 +328,48 @@ class TestEstimate:
         assert math.isfinite(estimate)
         assert abs(estimate / (2.0 * float(scale)) - 1.0) < 0.25
         assert row[4] == "large"
+
+
+class TestEstimateLanes:
+    """Past 2^18 differences, estimate splits the rows i over two lanes."""
+
+    @pytest.fixture
+    def sketch(self, tmp_path):
+        # 4,950 pairs x k = 64 is 316,800 differences; the scales give
+        # all four tags.
+        rng = np.random.default_rng(8)
+        path = tmp_path / "points.csv"
+        scales = np.repeat([1e-13, 1e-3, 0.05, 1.0], 25)[:, None]
+        np.savetxt(path, rng.standard_normal((100, 5)) * scales, delimiter=",")
+        sk = str(tmp_path / "sk.bin")
+        assert main(["sketch", "--input", str(path), "--output", sk, "--epsilon", "0.25",
+                     "--k", "64", "--seed", "3"]) == 0
+        return sk
+
+    def test_lanes_change_no_bytes(self, sketch, tmp_path, monkeypatch):
+        tables = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+            assert cauchy_module._lanes(4950 * 64) == lanes
+            out = str(tmp_path / f"pairs{lanes}.csv")
+            assert main(["estimate", "--input", sketch, "--output", out]) == 0
+            tables.append(open(out, "rb").read())
+        assert tables[0] == tables[1]
+        assert {line.split(b",")[-1] for line in tables[0].splitlines()[1:]} == {
+            b"large", b"small", b"really-small", b"unproven-upper"
+        }
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_overflow_in_second_lane_rows_exits_2(self, sketch, monkeypatch, capsys, lanes):
+        # Only the pair (98, 99) overflows; the second lane takes rows i
+        # from 30 on.
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        coords = read_binary_matrix(sketch)
+        coords[98, 0], coords[99, 0] = 1e308, -1e308
+        write_binary_matrix(sketch, coords)
+        capsys.readouterr()
+        assert main(["estimate", "--input", sketch]) == 2
+        assert "rho needs rows whose differences are finite" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

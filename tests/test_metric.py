@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import cauchysketch.cauchy as cauchy_module
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
 from cauchysketch.metric import rho, xi, xi_small_envelope
 from cauchysketch.moments import mu_inverse
@@ -80,6 +81,65 @@ class TestXi:
             tracemalloc.stop()
         assert peak <= 2 * a.nbytes + 65_536
         assert np.array_equal(out, np.log1p(np.sqrt(a)) + 0.5 * np.log1p(a))
+
+
+def _xi_reference(a):
+    # The whole-array ufunc expression xi's tiles and lanes must reproduce.
+    return np.log1p(np.sqrt(a)) + 0.5 * np.log1p(a)
+
+
+class TestXiLanes:
+    """From 2^18 elements on, xi runs tile by tile over two lanes."""
+
+    @staticmethod
+    def _inputs():
+        # |Cauchy| draws over many scales, with 0, a subnormal and inf.
+        rng = make_generator(RngSeed(20240817, 21))
+        a = np.abs(sample_standard_cauchy(rng, 600_000)) * np.exp(rng.uniform(-40, 40, 600_000))
+        a[[0, 65_536, 300_001]] = [0.0, 5e-324, np.inf]
+        return {
+            "1-d": a[: 2**18 + 12_345],
+            "2-d": a.reshape(600, 1000)[:, :500].copy(),
+            "non-contiguous": a.reshape(600, 1000)[:, ::2],
+        }
+
+    @pytest.mark.parametrize("shape", ["1-d", "2-d", "non-contiguous"])
+    def test_lanes_change_no_bits(self, monkeypatch, shape):
+        a = self._inputs()[shape]
+        reference = _xi_reference(a)
+        for lanes in (1, 2):
+            monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+            out = xi(a)
+            assert out.shape == a.shape
+            assert np.array_equal(out.view(np.uint64), reference.view(np.uint64))
+        # and element by element, at tile edges and at random
+        flat, flat_out = np.ravel(a), np.ravel(out)
+        picks = [0, 1, 65_535, 65_536, 131_072, flat.size // 2, flat.size - 1]
+        picks += make_generator(RngSeed(20240817, 22)).integers(0, flat.size, 100).tolist()
+        for index in picks:
+            one = np.float64(xi(float(flat[index])))
+            assert one.view(np.uint64) == flat_out[index].view(np.uint64)
+
+    @pytest.mark.parametrize("bad", [-1e-300, math.nan])
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_bad_value_in_second_lane_raises(self, monkeypatch, lanes, bad):
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        a = np.ones(2**20)
+        a[-1] = bad
+        with pytest.raises(ValueError, match=r"xi requires a >= 0"):
+            xi(a)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_holds_output_and_two_tiles_per_lane(self, monkeypatch, lanes):
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        a = np.linspace(0.0, 1e6, 1 << 20)
+        tracemalloc.start()
+        try:
+            out = xi(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + lanes * 2 * cauchy_module._TILE * 8
 
 
 class TestSketchedPoint:

@@ -152,12 +152,13 @@ class TestBlockedSketch:
         entries = build_projection(k, d, SEED).entries
         sizes = []
 
-        def recording(rng, size):
-            sizes.append(size)
-            return sample_standard_cauchy(rng, size)
+        def recording(rng, out):
+            sizes.append(out.size)
+            return fill_cauchy(rng, out)
 
+        fill_cauchy = sketch_module._fill_cauchy
         monkeypatch.setattr(sketch_module, "_BLOCK_ENTRIES", 256)
-        monkeypatch.setattr(sketch_module, "sample_standard_cauchy", recording)
+        monkeypatch.setattr(sketch_module, "_fill_cauchy", recording)
         coords = sketch_dataset(points, k, SEED)
         assert len(sizes) >= 2 and all(size % d == 0 and size <= max(256, d) for size in sizes)
         bounds = np.cumsum([0] + [size // d for size in sizes])

@@ -1,12 +1,14 @@
 """The quadrature oracle, Monte Carlo drivers, and suite plumbing."""
 
+import heapq
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cauchysketch.cauchy import RngSeed
+import cauchysketch.verify as verify_module
+from cauchysketch.cauchy import RngSeed, cdf_abs, ks_statistic, make_generator
 from cauchysketch.concentration import (
     chernoff_rate_small,
     dominating_survival,
@@ -14,6 +16,7 @@ from cauchysketch.concentration import (
     xi_tail_bound,
 )
 from cauchysketch.moments import mu
+from cauchysketch.specfun import ti2
 from cauchysketch.verify import (
     SUITES,
     ConcentrationTrial,
@@ -92,6 +95,82 @@ class TestQuadratureOracle:
         monkeypatch.setattr(verify_mod, "_PANEL_BUDGET", 8)
         with pytest.raises(QuadratureError):
             quadrature_mean("xi_squared", 1e6, tol=1e-13)
+
+
+def _panel_at_a_time(f, tol):
+    # _adaptive_unit with one call of f per panel: the reference for the
+    # batched ladder.
+    def panel(a, b):
+        half = 0.5 * (b - a)
+        ys = f(0.5 * (a + b) + half * verify_module._NODES)
+        kronrod = half * float(verify_module._W_KRONROD @ ys)
+        gauss = half * float(verify_module._W_GAUSS @ ys)
+        return kronrod, abs(kronrod - gauss)
+
+    edges = [0.0] + [2.0**-j for j in range(verify_module._LADDER_DEPTH, -1, -1)]
+    heap, total, err, count = [], 0.0, 0.0, 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        value, e = panel(a, b)
+        total += value
+        err += e
+        heapq.heappush(heap, (-e, count, a, b, value))
+        count += 1
+    while err > tol:
+        neg_e, _, a, b, value = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        (left, e_left), (right, e_right) = panel(a, mid), panel(mid, b)
+        total += left + right - value
+        err += e_left + e_right + neg_e
+        heapq.heappush(heap, (-e_left, count, a, mid, left))
+        heapq.heappush(heap, (-e_right, count + 1, mid, b, right))
+        count += 2
+    return total
+
+
+class TestKronrodRule:
+    """The G7/K15 constants hold full double precision."""
+
+    def test_gauss_rule_matches_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        gauss_nodes = verify_module._KRONROD_NODES[1::2]
+        assert np.all(np.abs(gauss_nodes - nodes[::-1][:4]) <= 2 * np.spacing(nodes[::-1][:4]))
+        # leggauss's own weights are up to 4.4 ulp from the exact ones.
+        assert np.all(
+            np.abs(verify_module._GAUSS_WEIGHTS - weights[::-1][:4])
+            <= 5 * np.spacing(weights[::-1][:4])
+        )
+
+    def test_gauss_rule_is_correctly_rounded(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for node, weight in zip(verify_module._KRONROD_NODES[1::2], verify_module._GAUSS_WEIGHTS):
+                exact = mpmath.findroot(lambda x: mpmath.legendre(7, x), node)
+                slope = mpmath.diff(lambda x: mpmath.legendre(7, x), exact)
+                assert node == float(exact)
+                assert weight == float(2 / ((1 - exact**2) * slope**2))
+
+    @pytest.mark.parametrize("j", range(23))
+    def test_kronrod_rule_is_exact_to_degree_22(self, j):
+        exact = 0.0 if j % 2 else 2.0 / (j + 1)
+        approx = float(verify_module._W_KRONROD @ verify_module._NODES**j)
+        assert abs(approx - exact) <= 1e-15
+
+    def test_ti2_by_quadrature(self):
+        quadrature = verify_module._adaptive_unit(lambda s: np.arctan(100 * s) / s, 1e-13)
+        assert abs(quadrature - ti2(100.0)) <= 2e-15
+
+
+@pytest.mark.parametrize("fn", ["xi", "log1p", "xi_squared"])
+def test_batched_ladder_keeps_every_bit(fn):
+    # The 49 ladder panels in one integrand call give the bits of one call
+    # per panel, on both legs of quadrature_mean.
+    g = verify_module._INTEGRANDS[fn]
+    for j in range(-4, 5):
+        lam = 10.0**j
+        for f in (lambda x: g(lam * x) / (1.0 + x * x), lambda u: g(lam / u) / (1.0 + u * u)):
+            batched = np.float64(verify_module._adaptive_unit(f, 5e-13))
+            reference = np.float64(_panel_at_a_time(f, 5e-13))
+            assert batched.view(np.uint64) == reference.view(np.uint64)
 
 
 class TestConcentrationDrivers:
@@ -243,6 +322,34 @@ class TestSuites:
         report = run_suite("stability", RngSeed(seed, 0))
         failing = [c["case"] for c in report.cases if not c["pass"]]
         assert report.gated_pass, failing
+
+    def test_stability_draws_largest_first(self, monkeypatch):
+        # The n x dim draw arrays come largest first, so the suite's peak
+        # memory is one largest array, whatever order the seed gives the
+        # dims in; each case still carries its own vector's statistic.
+        original = verify_module.stable_combination
+        drawn = []
+
+        def recorder(v, rng, size):
+            drawn.append(len(v))
+            return original(v, rng, size)
+
+        monkeypatch.setattr(verify_module, "stable_combination", recorder)
+        n = 2000
+        report = run_suite("stability", SEED, trials=n)
+        vec_rng = make_generator(verify_module._subseed(SEED, 103))
+        dims = []
+        for i in range(10):
+            dim = int(vec_rng.integers(2, 50))
+            v = vec_rng.standard_normal(dim) * np.exp(vec_rng.uniform(-2.0, 2.0, size=dim))
+            samples = original(v, make_generator(verify_module._subseed(SEED, 200 + i)), size=n)
+            case = report.cases[1 + i]
+            assert case["case"] == f"1-stability KS, vector {i} (dim {dim}, n={n})"
+            scale = float(np.sum(np.abs(v)))
+            assert case["oracle"] == ks_statistic(np.abs(samples) / scale, cdf_abs)
+            dims.append(dim)
+        assert dims != sorted(dims, reverse=True)  # the seed makes the order matter
+        assert drawn == sorted(dims, reverse=True)
 
     def test_different_seeds_change_monte_carlo(self):
         a = run_suite("maxbound", SEED, trials=500)
