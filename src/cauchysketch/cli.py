@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cauchy import GENERATOR_NAME, RngSeed, _in_two_lanes, _lanes
+from .cauchy import GENERATOR_NAME, _TILE, RngSeed, _in_two_lanes, _lanes
 from .concentration import max_abs_plan, plan_dimension
 from .metric import rho
 from .moments import mu_inverse
@@ -40,11 +40,6 @@ from .sketch import (
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
-
-# Cap on the pair differences one rho call takes: 512 KB of float64 per
-# temporary, one xi tile. With two lanes, 16K-element blocks ran slower
-# than one lane: the per-call Python work, under the GIL, dominated.
-_BLOCK_ELEMENTS = 65_536
 
 
 def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
@@ -145,10 +140,11 @@ def cmd_estimate(args: argparse.Namespace, seed: RngSeed) -> int:
         raise DatasetFormatError(
             f"sketch shape {coords.shape} does not match metadata (n_points={n}, k={k})"
         )
-    # Row i against rows i+1.. in blocks of at most _BLOCK_ELEMENTS
-    # differences; each block is one rho call. Pairs (i, j) of rows i in
-    # `rows` fill their own slice of rhos, so two lanes can share it.
-    block_rows = max(1, _BLOCK_ELEMENTS // k)
+    # Row i against rows i+1.. in blocks of at most _TILE differences, one xi
+    # tile per rho call (at 16K, two lanes ran slower than one: per-call Python
+    # work under the GIL dominated). Pairs (i, j) of rows i in `rows` fill
+    # their own slice of rhos, so two lanes can share it.
+    block_rows = max(1, _TILE // k)
     rhos = np.empty(n * (n - 1) // 2)
 
     def fill(rows: range) -> None:

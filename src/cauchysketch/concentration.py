@@ -167,8 +167,20 @@ def chernoff_rate_large(epsilon: float, side: str) -> float:
     return 64.0 / (epsilon**2 * (1.0 - epsilon) ** 2) * (V_SQUARED + a)
 
 
-def _small_base(lam: float) -> float:
-    return _SMALL_BASE_CONST - (4.0 / math.pi) * math.log(lam)
+def _small_base(ln_lam: float) -> float:
+    return _SMALL_BASE_CONST - (4.0 / math.pi) * ln_lam
+
+
+def _small_upper_rate(epsilon: float, ln_lam: float) -> float:
+    return 8.0 / epsilon**2 * (A_SMALL_UPPER_PRINTED + _small_base(ln_lam))
+
+
+def _small_lower_rate(epsilon: float, ln_lam: float) -> float:
+    return 4.0 / epsilon**2 * _small_base(ln_lam)
+
+
+def _branch_b_rate(epsilon: float) -> float:
+    return 9.0 / epsilon**2 * _BRANCH_B_CONST
 
 
 def chernoff_rate_small(epsilon: float, lam: float, side: str) -> float:
@@ -194,11 +206,11 @@ def chernoff_rate_small(epsilon: float, lam: float, side: str) -> float:
             )
         if lam > 1.0:
             raise RegimeError(f"small-scale upper rate requires lambda <= 1, got {lam!r}")
-        return 8.0 / epsilon**2 * (A_SMALL_UPPER_PRINTED + _small_base(lam))
+        return _small_upper_rate(epsilon, math.log(lam))
     if lam <= 1.0:
-        return 4.0 / epsilon**2 * _small_base(lam)
+        return _small_lower_rate(epsilon, math.log(lam))
     if lam <= 2.0:
-        return 9.0 / epsilon**2 * _BRANCH_B_CONST
+        return _branch_b_rate(epsilon)
     raise RegimeError(f"small-scale lower rate requires lambda <= 2, got {lam!r}")
 
 
@@ -227,7 +239,7 @@ def u_star_small_upper(epsilon: float, lam: float) -> float:
     lam = float(lam)
     if not 8.0 * epsilon**2 < lam <= 1.0:
         raise RegimeError(f"need 8 eps^2 < lambda <= 1, got lambda={lam!r}")
-    return epsilon * mu(lam) / (2.0 * lam * (A_SMALL_UPPER_PRINTED + _small_base(lam)))
+    return epsilon * mu(lam) / (2.0 * lam * (A_SMALL_UPPER_PRINTED + _small_base(math.log(lam))))
 
 
 def _scale_cutoffs(epsilon: float) -> tuple[float, float]:
@@ -280,7 +292,7 @@ class ChernoffPlan:
     def regime_table(self) -> dict[str, float]:
         """Every candidate rate reciprocal the planner maximized over."""
         table = _static_candidates(self.epsilon)
-        table["really-small-lower"] = _really_small_lower_rate(self.epsilon, math.log(self.lambda0))
+        table["really-small-lower"] = _small_lower_rate(self.epsilon, math.log(self.lambda0))
         return table
 
 
@@ -289,13 +301,9 @@ def _static_candidates(epsilon: float) -> dict[str, float]:
         "large-upper": chernoff_rate_large(epsilon, "upper"),
         "large-lower": chernoff_rate_large(epsilon, "lower"),
         # sup of the small-scale upper rate over its open regime (8 eps^2, 1]
-        "small-upper": 8.0 / epsilon**2 * (A_SMALL_UPPER_PRINTED + _small_base(8.0 * epsilon**2)),
-        "small-lower": 9.0 / epsilon**2 * _BRANCH_B_CONST,
+        "small-upper": _small_upper_rate(epsilon, math.log(8.0 * epsilon**2)),
+        "small-lower": _branch_b_rate(epsilon),
     }
-
-
-def _really_small_lower_rate(epsilon: float, ln_lambda0: float) -> float:
-    return 4.0 / epsilon**2 * (_SMALL_BASE_CONST - (4.0 / math.pi) * ln_lambda0)
 
 
 def _ln_lambda0(epsilon: float, delta: float, k: int) -> float:
@@ -323,7 +331,7 @@ def _plan(epsilon: float, delta: float) -> ChernoffPlan:
     k = max(1, math.ceil(log_two_over_delta * static_max))
     rate_a = 0.0
     for _ in range(32):
-        rate_a = _really_small_lower_rate(epsilon, _ln_lambda0(epsilon, delta, k))
+        rate_a = _small_lower_rate(epsilon, _ln_lambda0(epsilon, delta, k))
         k_next = max(1, math.ceil(log_two_over_delta * max(static_max, rate_a)))
         if k_next == k:
             break

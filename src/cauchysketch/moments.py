@@ -225,7 +225,7 @@ def deviations(lam: float, epsilon: float) -> DeviationPair:
     )
 
 
-def mu_inverse(m, rtol: float = 1e-12, max_iter: int = 200):
+def mu_inverse(m):
     """Inverse of the mean map: the lambda with mu(lambda) = m.
 
     Takes a float, which gives a float, or an array, which gives an array
@@ -252,18 +252,15 @@ def mu_inverse(m, rtol: float = 1e-12, max_iter: int = 200):
         )
     flat = arr.ravel()
     solve = flat > _MU_TINY
-    if solve.all():
-        lam = _solve_mu(flat, rtol, max_iter)
-    else:
-        lam = np.where(flat > 0.0, _TINY, 0.0)
-        if solve.any():
-            lam[solve] = _solve_mu(flat[solve], rtol, max_iter)
+    lam = np.where(flat > 0.0, _TINY, 0.0)
+    if solve.any():
+        lam[solve] = _solve_mu(flat[solve])
     lam = lam.reshape(arr.shape)
     return float(lam) if lam.ndim == 0 else lam
 
 
 @np.errstate(over="ignore")
-def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
+def _solve_mu(m: np.ndarray) -> np.ndarray:
     # mu(lambda) = m for a 1-d array of m in (mu(5e-324), mu(float max)].
     # Seeds: mu ~ sqrt(2 lambda) for small lambda, ~ ln(lambda) for large.
     # expm1(2m) overflows past m ~ 354.9; there e^(m+1) (or the largest
@@ -279,12 +276,12 @@ def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
     # says otherwise, and then the loops widen them.
     both = mu(np.concatenate((lo, hi)))
     over, under = both[: m.size] > m, both[m.size :] < m
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if not over.any():
             break
         lo[over] *= 0.25
         over = mu(lo) > m
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if not under.any():
             break
         hi[under] *= 4.0
@@ -299,14 +296,14 @@ def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
     # which the seeds put at e^(m-1) or e^m, next to the root.
     lam = np.where(m >= 2.0, np.maximum(lo, hi / math.e), np.minimum(np.maximum(0.5 * m * m, lo), hi))
 
-    tol = rtol * m
+    tol = _RTOL * m
     out = np.empty_like(m)
     todo = np.arange(m.size)
     # A Newton step that leaves lambda where it is means no float is
-    # closer; only subnormal lambda, where rtol is out of reach, gets there
-    # before the rtol test passes.
+    # closer; only subnormal lambda, where _RTOL is out of reach, gets there
+    # before the _RTOL test passes.
     settled = np.zeros(m.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         f = mu(lam) - m
         done = settled | (np.abs(f) <= tol)
         if done.any():
@@ -330,6 +327,9 @@ def _solve_mu(m: np.ndarray, rtol: float, max_iter: int) -> np.ndarray:
     return out
 
 
+# mu_inverse stops at |mu(lambda) - m| <= _RTOL m, or after _MAX_ITER steps.
+_RTOL = 1e-12
+_MAX_ITER = 200
 # Largest value of mu on finite lambda; mu_inverse has no finite answer above it.
 _MU_MAX = mu(sys.float_info.max)
 # Smallest positive float and its mu; mu_inverse maps (0, _MU_TINY] to it.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import RngSeed, _check_count, _fill_cauchy, make_generator, sample_standard_cauchy
+from .cauchy import RngSeed, _block_rows, _check_count, _fill_cauchy, make_generator, sample_standard_cauchy
 from .concentration import _scale_cutoffs
 
 __all__ = [
@@ -43,13 +43,9 @@ __all__ = [
     "write_binary_matrix",
 ]
 
-# Default cap on k*d; a dense float64 matrix at the cap is ~17 GB, well
-# past anything this sketch is meant for.
+# Cap on k*d; a dense float64 matrix at the cap is ~17 GB, well past
+# anything this sketch is meant for.
 MAX_ENTRIES = 2**31
-
-# Entries of F that sketch_dataset draws per block of rows: 8 MB of
-# float64, at least one row.
-_BLOCK_ENTRIES = 2**20
 
 
 class DatasetFormatError(ValueError):
@@ -76,19 +72,17 @@ class ProjectionMatrix:
             raise ValueError("projection entries must be finite")
 
 
-def _check_shape(k, d, max_entries: int) -> tuple[int, int]:
+def _check_shape(k, d) -> tuple[int, int]:
     k = _check_count("k", k, 1)
     d = _check_count("d", d, 1)
-    if k * d > max_entries:
-        raise ValueError(f"k*d = {k * d} exceeds the entry budget {max_entries}")
+    if k * d > MAX_ENTRIES:
+        raise ValueError(f"k*d = {k * d} exceeds the entry budget {MAX_ENTRIES}")
     return k, d
 
 
-def build_projection(
-    k: int, d: int, seed: RngSeed, max_entries: int = MAX_ENTRIES
-) -> ProjectionMatrix:
+def build_projection(k: int, d: int, seed: RngSeed) -> ProjectionMatrix:
     """Draw the k x d Cauchy projection for a seed, row-major from one stream."""
-    k, d = _check_shape(k, d, max_entries)
+    k, d = _check_shape(k, d)
     rng = make_generator(seed)
     entries = sample_standard_cauchy(rng, size=k * d).reshape(k, d)
     entries.setflags(write=False)
@@ -100,7 +94,7 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
 
     F has the entries of build_projection(k, d, seed), shared by every
     point. It is drawn and applied a block of rows at a time (about
-    _BLOCK_ENTRIES entries) into one reused buffer, so the memory held is
+    cauchy._BLOCK_DRAWS entries) into one reused buffer, so the memory held is
     the sketch plus one block. Raises ValueError when a product
     overflows: finite points can still produce an infinite sketch
     coordinate, which no distance could be read from. Raises it too when
@@ -109,8 +103,8 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
     """
     arr = _as_point_array(points)
     d = arr.shape[1]
-    k, d = _check_shape(k, d, MAX_ENTRIES)
-    rows = max(1, _BLOCK_ENTRIES // d)
+    k, d = _check_shape(k, d)
+    rows = _block_rows(d)
     if rows > 64:
         # Block edges on multiples of 64 rows fall on BLAS register-tile
         # edges, so most blocks round like the same rows of one product.

@@ -33,6 +33,7 @@ import numpy as np
 from .cauchy import (
     RngSeed,
     _check_count,
+    _draw_rows,
     cdf_abs,
     ks_critical_value,
     ks_statistic,
@@ -231,23 +232,11 @@ def _band(lam: float, epsilon: float) -> tuple[float, float]:
     return (1.0 - epsilon) * center, (1.0 + epsilon) * center
 
 
-_CHUNK = 4_000_000
-
-
 def _scaled_abs(draws: np.ndarray, lam: float) -> np.ndarray:
     # lam * |draws|, computed in the draws' own buffer.
     np.abs(draws, out=draws)
     draws *= lam
     return draws
-
-
-def _draw_rows(rng: np.random.Generator, k: int, trials: int):
-    # `trials` rows of k standard Cauchy draws in stream order, yielded as
-    # (rows, k) arrays of about _CHUNK draws each.
-    rows_per_chunk = max(1, _CHUNK // k)
-    for done in range(0, trials, rows_per_chunk):
-        rows = min(rows_per_chunk, trials - done)
-        yield sample_standard_cauchy(rng, size=rows * k).reshape(rows, k)
 
 
 def run_concentration_trial(
@@ -564,29 +553,13 @@ def _suite_stability(seed: RngSeed, trials: int | None) -> VerificationReport:
         # family-wise level of 1% (Bonferroni), not 1% each.
         critical = ks_critical_value(n, 0.01 / 11)
         vec_rng = make_generator(_subseed(seed, 103))
-        vectors = []
-        for _ in range(10):
+        for i in range(10):
             dim = int(vec_rng.integers(2, 50))
             v = vec_rng.standard_normal(dim) * np.exp(vec_rng.uniform(-2.0, 2.0, size=dim))
-            vectors.append(v)
-        # The n x dim draw arrays are taken largest first, so each fits
-        # where the one before it was freed: the suite holds one largest
-        # array, and its peak memory does not depend on the order the
-        # seed gives the dims in.
-        statistics = {}
-        for i in sorted(range(10), key=lambda i: -vectors[i].size):
-            v = vectors[i]
             samples = stable_combination(v, make_generator(_subseed(seed, 200 + i)), size=n)
-            statistics[i] = ks_statistic(np.abs(samples) / float(np.sum(np.abs(v))), cdf_abs)
-        for i, v in enumerate(vectors):
-            cases.append(
-                _bound_case(
-                    f"1-stability KS, vector {i} (dim {v.size}, n={n})",
-                    statistics[i],
-                    critical,
-                    0.0,
-                )
-            )
+            statistic = ks_statistic(np.abs(samples) / float(np.sum(np.abs(v))), cdf_abs)
+            name = f"1-stability KS, vector {i} (dim {dim}, n={n})"
+            cases.append(_bound_case(name, statistic, critical, 0.0))
         direct = sample_standard_cauchy(make_generator(_subseed(seed, 104)), n)
         np.abs(direct, out=direct)
         cases.append(

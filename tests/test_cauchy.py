@@ -176,6 +176,33 @@ class TestStableCombination:
         assert batch.shape == (2,)
         assert np.allclose(batch, draws @ v, rtol=1e-15)
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize(
+        "size, dim, step",
+        [
+            (100_000, 23, 45_590),  # 45,590 rows of 23 fill one 2^20-draw block
+            (12_345, 64, 333),
+            (100_000, 23, 30_001),  # pieces straddle the whole call's block edges
+            (2 * (2**20 // 49) + 3, 49, 2**20 // 49 + 1),
+            (2**20 + 7, 1, 2**19 + 1),
+        ],
+    )
+    def test_sums_do_not_depend_on_the_call_size(self, monkeypatch, lanes, size, dim, step):
+        # Each sum is a function of its own draws alone: calls of `step`
+        # sums from one generator give the bits of one call of `size`
+        # sums, so the first m sums of a call equal a call of size m, and
+        # the stream goes on from the same state.
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        weights = make_generator(RngSeed(dim, 9))
+        v = weights.standard_normal(dim) * np.exp(weights.uniform(-2.0, 2.0, size=dim))
+        rng = make_generator(SEED)
+        whole = stable_combination(v, rng, size)
+        after = rng.random(7)
+        rng = make_generator(SEED)
+        pieces = [stable_combination(v, rng, min(step, size - lo)) for lo in range(0, size, step)]
+        np.testing.assert_array_equal(np.concatenate(pieces).view(np.uint64), whole.view(np.uint64))
+        np.testing.assert_array_equal(rng.random(7), after)
+
     def test_one_stability(self):
         # sum v_j X_j / ||v||_1 is again standard Cauchy.
         n = 50_000

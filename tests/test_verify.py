@@ -3,12 +3,14 @@
 import heapq
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import cauchysketch.cauchy as cauchy_module
 import cauchysketch.verify as verify_module
-from cauchysketch.cauchy import RngSeed, cdf_abs, ks_statistic, make_generator
+from cauchysketch.cauchy import RngSeed, cdf_abs, ks_statistic, make_generator, stable_combination
 from cauchysketch.concentration import (
     chernoff_rate_small,
     dominating_survival,
@@ -182,11 +184,18 @@ class TestConcentrationDrivers:
         assert a.fail_fraction == (a.fail_upper + a.fail_lower) / 400
 
     def test_chunked_path_matches_single_shot(self, monkeypatch):
-        import cauchysketch.verify as verify_mod
-
         whole = run_concentration_trial(1.0, 0.25, 64, 300, SEED)
-        monkeypatch.setattr(verify_mod, "_CHUNK", 640)  # forces many chunks
+        draw = cauchy_module.sample_standard_cauchy
+        sizes = []
+
+        def recording(rng, size):
+            sizes.append(size)
+            return draw(rng, size)
+
+        monkeypatch.setattr(cauchy_module, "_BLOCK_DRAWS", 640)  # 10 rows a block
+        monkeypatch.setattr(cauchy_module, "sample_standard_cauchy", recording)
         pieces = run_concentration_trial(1.0, 0.25, 64, 300, SEED)
+        assert sizes == [640] * 30
         assert (whole.fail_upper, whole.fail_lower) == (pieces.fail_upper, pieces.fail_lower)
 
     def test_more_dimensions_fail_less(self):
@@ -323,33 +332,32 @@ class TestSuites:
         failing = [c["case"] for c in report.cases if not c["pass"]]
         assert report.gated_pass, failing
 
-    def test_stability_draws_largest_first(self, monkeypatch):
-        # The n x dim draw arrays come largest first, so the suite's peak
-        # memory is one largest array, whatever order the seed gives the
-        # dims in; each case still carries its own vector's statistic.
-        original = verify_module.stable_combination
-        drawn = []
-
-        def recorder(v, rng, size):
-            drawn.append(len(v))
-            return original(v, rng, size)
-
-        monkeypatch.setattr(verify_module, "stable_combination", recorder)
-        n = 2000
-        report = run_suite("stability", SEED, trials=n)
+    def test_stability_holds_two_blocks(self):
+        # Each vector's n x dim Cauchy draws come a block at a time, so the
+        # suite holds two blocks (the one being drawn and the one before
+        # it) and a few n-float arrays, never a whole draw array; each case
+        # carries its own vector's statistic.
+        n = 100_000
+        tracemalloc.start()
+        try:
+            report = run_suite("stability", SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         vec_rng = make_generator(verify_module._subseed(SEED, 103))
         dims = []
         for i in range(10):
             dim = int(vec_rng.integers(2, 50))
             v = vec_rng.standard_normal(dim) * np.exp(vec_rng.uniform(-2.0, 2.0, size=dim))
-            samples = original(v, make_generator(verify_module._subseed(SEED, 200 + i)), size=n)
+            samples = stable_combination(v, make_generator(verify_module._subseed(SEED, 200 + i)), n)
             case = report.cases[1 + i]
             assert case["case"] == f"1-stability KS, vector {i} (dim {dim}, n={n})"
             scale = float(np.sum(np.abs(v)))
             assert case["oracle"] == ks_statistic(np.abs(samples) / scale, cdf_abs)
             dims.append(dim)
-        assert dims != sorted(dims, reverse=True)  # the seed makes the order matter
-        assert drawn == sorted(dims, reverse=True)
+        bound = 2 * cauchy_module._BLOCK_DRAWS * 8 + 4 * n * 8
+        assert max(dims) * n * 8 > bound  # one whole draw array would exceed it
+        assert peak <= bound
 
     def test_different_seeds_change_monte_carlo(self):
         a = run_suite("maxbound", SEED, trials=500)
