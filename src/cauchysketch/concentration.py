@@ -10,10 +10,10 @@ machinery:
                term from the second-moment ratio bound; the lower tail
                additionally has a constant-rate branch on [1, 2].
   really_small lambda <= 8 eps^2: the upper tail has no proven Chernoff
-               bound (requesting one raises RegimeError; the verify module
-               measures it empirically). The lower tail is still covered,
-               and below the cutoff lambda0 a max-of-iid argument gives a
-               two-sided band with slightly widened multipliers.
+               bound (the verify module measures it empirically). The
+               lower tail is still covered, and below the cutoff lambda0 a
+               max-of-iid argument gives a two-sided band with slightly
+               widened multipliers.
 
 The planner takes the worst (largest) rate reciprocal over every regime a
 distance could fall in and multiplies by ln(2/delta). The really-small
@@ -28,6 +28,7 @@ gives per-pair failure probability at most delta.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -39,14 +40,11 @@ __all__ = [
     "A_PLUS",
     "A_MINUS",
     "A_SMALL_UPPER_PRINTED",
-    "A_SMALL_UPPER_EXACT",
-    "RegimeError",
     "InfeasibleParameterError",
     "h_rate",
     "dominating_survival",
     "xi_tail_bound",
     "chernoff_rate_large",
-    "chernoff_rate_small",
     "u_star_large",
     "u_star_small_upper",
     "ChernoffPlan",
@@ -65,9 +63,9 @@ A_PLUS = 64.0 * math.pi / (math.e * (math.pi**2 - 0.5))
 A_MINUS = 8.0 * math.sqrt(2.0) * math.pi / (math.e * (math.pi**2 - 0.25))
 
 # Small-scale upper tail MGF remainder, per unit lambda: the derivation
-# gives 32e/(3 pi (e-1)^2); the rate uses the printed rounding 3.126 so
-# planned dimensions reproduce the published arithmetic digit for digit.
-A_SMALL_UPPER_EXACT = 32.0 * math.e / (3.0 * math.pi * (math.e - 1.0) ** 2)
+# gives 32e/(3 pi (e-1)^2) = 3.12596...; the rate uses the printed rounding
+# up 3.126 so planned dimensions reproduce the published arithmetic digit
+# for digit.
 A_SMALL_UPPER_PRINTED = 3.126
 
 # Loosened second-moment ratio pieces on lambda <= 1, minus the
@@ -83,14 +81,6 @@ _SIDES = ("upper", "lower")
 # Per-pair budgets delta at or below this make 2/delta, and so the planned
 # k, overflow.
 _MIN_DELTA = 2.0 / sys.float_info.max
-
-
-class RegimeError(ValueError):
-    """A scale/accuracy pair outside the proven range of a bound.
-
-    In particular the upper tail at lambda <= 8 eps^2 has no proven
-    Chernoff rate; that regime is handled empirically, never by formula.
-    """
 
 
 class InfeasibleParameterError(ValueError):
@@ -167,6 +157,12 @@ def chernoff_rate_large(epsilon: float, side: str) -> float:
     return 64.0 / (epsilon**2 * (1.0 - epsilon) ** 2) * (V_SQUARED + a)
 
 
+# Small-scale rate reciprocals, as functions of (eps, ln lambda):
+#   upper, 8 eps^2 < lambda <= 1:  (8/eps^2)(3.126 + base)
+#   lower, 0 < lambda <= 1:        (4/eps^2) base
+#   lower, 1 < lambda <= 2:        (9/eps^2)(pi^2/2 + 4 + 2 sqrt(2))
+# with base = 1 + 4/pi - (4/pi) ln(lambda) + 8 + 2 sqrt(2) + 1/4. The upper
+# tail at lambda <= 8 eps^2 has no proven rate.
 def _small_base(ln_lam: float) -> float:
     return _SMALL_BASE_CONST - (4.0 / math.pi) * ln_lam
 
@@ -181,37 +177,6 @@ def _small_lower_rate(epsilon: float, ln_lam: float) -> float:
 
 def _branch_b_rate(epsilon: float) -> float:
     return 9.0 / epsilon**2 * _BRANCH_B_CONST
-
-
-def chernoff_rate_small(epsilon: float, lam: float, side: str) -> float:
-    """Rate reciprocal for small scales.
-
-    upper, 8 eps^2 < lambda <= 1:
-        (8/eps^2)(3.126 + 1 + 4/pi - (4/pi) ln(lambda) + 8 + 2 sqrt(2) + 1/4)
-    lower, 0 < lambda <= 1:
-        (4/eps^2)(1 + 4/pi - (4/pi) ln(lambda) + 8 + 2 sqrt(2) + 1/4)
-    lower, 1 < lambda <= 2:
-        (9/eps^2)(pi^2/2 + 4 + 2 sqrt(2))
-
-    The upper tail at lambda <= 8 eps^2 is an open case: RegimeError.
-    """
-    epsilon = _check_epsilon(epsilon)
-    _check_side(side)
-    lam = _check_lambda(lam, positive=True)
-    if side == "upper":
-        if lam <= 8.0 * epsilon**2:
-            raise RegimeError(
-                f"upper tail at lambda={lam!r} <= 8 eps^2 = {8.0 * epsilon**2!r} "
-                "has no proven rate; measure it empirically"
-            )
-        if lam > 1.0:
-            raise RegimeError(f"small-scale upper rate requires lambda <= 1, got {lam!r}")
-        return _small_upper_rate(epsilon, math.log(lam))
-    if lam <= 1.0:
-        return _small_lower_rate(epsilon, math.log(lam))
-    if lam <= 2.0:
-        return _branch_b_rate(epsilon)
-    raise RegimeError(f"small-scale lower rate requires lambda <= 2, got {lam!r}")
 
 
 def u_star_large(epsilon: float, side: str) -> float:
@@ -238,7 +203,7 @@ def u_star_small_upper(epsilon: float, lam: float) -> float:
     epsilon = _check_epsilon(epsilon)
     lam = float(lam)
     if not 8.0 * epsilon**2 < lam <= 1.0:
-        raise RegimeError(f"need 8 eps^2 < lambda <= 1, got lambda={lam!r}")
+        raise ValueError(f"need 8 eps^2 < lambda <= 1, got lambda={lam!r}")
     return epsilon * mu(lam) / (2.0 * lam * (A_SMALL_UPPER_PRINTED + _small_base(math.log(lam))))
 
 
@@ -358,13 +323,13 @@ def _plan(epsilon: float, delta: float) -> ChernoffPlan:
 def _budget(n_points: int, c: float) -> float:
     # The per-pair budget delta = N^{-c} of an N-point plan, after an
     # InfeasibleParameterError unless N >= 2 is an integer (not a bool),
-    # c >= 3 is a number (so the union over N^2 pairs still vanishes) and
-    # delta > 2/float max (so ln(2/delta) is finite).
+    # c >= 3 is a real number, not a bool (so the union over N^2 pairs
+    # still vanishes) and delta > 2/float max (so ln(2/delta) is finite).
     try:
         n_points = _check_count("n_points", n_points, 2)
     except ValueError as exc:
         raise InfeasibleParameterError(str(exc)) from None
-    if isinstance(c, bool) or not isinstance(c, (int, float)) or not c >= 3.0:
+    if isinstance(c, bool) or not isinstance(c, numbers.Real) or not c >= 3.0:
         raise InfeasibleParameterError(f"c must be a number >= 3, got {c!r}")
     delta = math.exp(-float(c) * math.log(n_points))
     if delta <= _MIN_DELTA:

@@ -19,6 +19,7 @@ in the verification suites; nothing in this module integrates anything.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -62,9 +63,10 @@ def _check_lambda(lam, *, positive: bool = False):
 
 
 def _check_epsilon(epsilon) -> float:
-    # epsilon as a float after a ValueError unless it is a number (not a
-    # bool) in (0, 1/4], the accuracy range of every bound.
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+    # epsilon as a float after a ValueError unless it is a real number
+    # (numpy's too, but not a bool) in (0, 1/4], the accuracy range of
+    # every bound.
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
         raise ValueError(f"epsilon must be a number, got {epsilon!r}")
     epsilon = float(epsilon)
     if not 0.0 < epsilon <= 0.25:

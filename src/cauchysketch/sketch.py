@@ -133,26 +133,25 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
 _REGIME_TAGS = ("large", "small", "really-small", "unproven-upper")
 
 
-def regime_tag(estimate, epsilon: float, lambda0: float | None = None):
+def regime_tag(estimate, epsilon: float, lambda0: float):
     """Which guarantee covers a distance estimate: large / small /
     really-small / unproven-upper.
 
-    Distances at or below 8 eps^2 split on the max-of-iid cutoff: at or
-    below lambda0 the two-sided corollary band is proven (really-small),
-    between lambda0 and 8 eps^2 the upper tail is an open case
-    (unproven-upper). Without a lambda0 the conservative tag is used.
-    The classification uses the estimate itself since the true distance
-    is unknown. A float gives one tag; an array gives an object array of
-    its shape holding the tags.
+    Distances at or below 8 eps^2 split on the max-of-iid cutoff lambda0
+    of the sketch's plan: at or below it the two-sided corollary band is
+    proven (really-small), between lambda0 and 8 eps^2 the upper tail is
+    an open case (unproven-upper). An estimate of 0 (duplicate rows) is
+    really-small whatever lambda0 is. The classification uses the
+    estimate itself since the true distance is unknown. A float gives
+    one tag; an array gives an object array of its shape holding the
+    tags.
     """
     est = np.asarray(estimate, dtype=np.float64)
     bad = np.isnan(est) | (est < 0.0)
     if bad.any():
         raise ValueError(f"estimate must be >= 0, got {float(est[bad].flat[0])!r}")
     large_from, small_above = _scale_cutoffs(epsilon)
-    proven_small = est == 0.0
-    if lambda0 is not None:
-        proven_small |= est <= lambda0
+    proven_small = (est == 0.0) | (est <= lambda0)
     codes = np.select([est >= large_from, est > small_above, proven_small], [0, 1, 2], 3)
     if codes.ndim == 0:
         return _REGIME_TAGS[codes]

@@ -210,7 +210,9 @@ class TestSketch:
 
     def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
         # N x d times d x k is large enough for BLAS to split the product
-        # over threads; the sketch must not depend on how it was split.
+        # over threads. The bytes agree at this 64 x 1024, k = 1024 shape
+        # only: other shapes (57 x 3000 at k = 1000) differ between 1 and
+        # 2 BLAS threads, which the byte contract leaves out.
         points = str(tmp_path / "wide.bin")
         rng = np.random.default_rng(3)
         write_binary_matrix(points, rng.standard_normal((64, 1024)))

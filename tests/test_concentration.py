@@ -3,6 +3,7 @@ max-of-iid threshold plan."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from cauchysketch.concentration import (
     A_MINUS,
     A_PLUS,
-    A_SMALL_UPPER_EXACT,
+    A_SMALL_UPPER_PRINTED,
     InfeasibleParameterError,
-    RegimeError,
     V_SQUARED,
+    _branch_b_rate,
+    _small_base,
+    _small_lower_rate,
+    _small_upper_rate,
     chernoff_rate_large,
-    chernoff_rate_small,
     corollary_band,
     dominating_survival,
     h_rate,
@@ -90,9 +93,8 @@ class TestTailBounds:
         assert V_SQUARED == pytest.approx(math.pi**2 / 2.0, abs=1e-15)
         assert A_PLUS == pytest.approx(A_PLUS_REF, abs=1e-12)
         assert A_MINUS == pytest.approx(A_MINUS_REF, abs=1e-12)
-        assert A_SMALL_UPPER_EXACT == pytest.approx(A_SMALL_EXACT_REF, abs=1e-12)
-        # the rounded-up literal the small-scale rate quotes
-        assert A_SMALL_UPPER_EXACT <= 3.126
+        # the rate quotes the derivation's constant rounded up
+        assert A_SMALL_EXACT_REF <= A_SMALL_UPPER_PRINTED == 3.126
 
     def test_dominating_survival_values(self):
         assert dominating_survival(1.0, 2.0) == pytest.approx(DOM_SURV_1_2, abs=1e-14)
@@ -148,36 +150,24 @@ class TestChernoffRates:
         assert chernoff_rate_large(eps, "upper") > chernoff_rate_large(eps * 1.04, "upper")
 
     def test_small_rate_values(self):
-        assert chernoff_rate_small(0.25, 1.0, "upper") == pytest.approx(
+        # the rates the planner and the printed regime table take, at
+        # (eps, lambda) = (0.25, 1) upper, (0.25, 0.5) lower and the
+        # constant branch that covers (0.25, 1.5) lower
+        assert _small_upper_rate(0.25, math.log(1.0)) == pytest.approx(
             2109.141333693613, rel=1e-12
         )
-        assert chernoff_rate_small(0.25, 0.5, "lower") == pytest.approx(
+        assert _small_lower_rate(0.25, math.log(0.5)) == pytest.approx(
             910.9893804858854, rel=1e-12
         )
-        assert chernoff_rate_small(0.25, 1.5, "lower") == pytest.approx(
-            1693.905022841885, rel=1e-12
-        )
-
-    def test_small_upper_regime_errors(self):
-        with pytest.raises(RegimeError):
-            chernoff_rate_small(0.25, 0.5, "upper")  # at 8 eps^2: unproven
-        with pytest.raises(RegimeError):
-            chernoff_rate_small(0.25, 0.1, "upper")
-        with pytest.raises(RegimeError):
-            chernoff_rate_small(0.25, 1.5, "upper")  # large-scale territory
-
-    def test_small_lower_regime_errors(self):
-        with pytest.raises(RegimeError):
-            chernoff_rate_small(0.25, 2.5, "lower")
+        assert _branch_b_rate(0.25) == pytest.approx(1693.905022841885, rel=1e-12)
 
     @settings(max_examples=200)
     @given(st.floats(0.01, 0.25), st.data())
     def test_small_upper_base_dominates_ratio_bound(self, eps, data):
-        # The constant-loosened base inside the small-scale upper rate must
+        # The constant-loosened base inside the small-scale rates must
         # dominate the tight second-moment ratio bound on (8 eps^2, 1].
         lam = data.draw(st.floats(8.0 * eps**2 * 1.0001, 1.0))
-        base = chernoff_rate_small(eps, lam, "upper") * eps**2 / 8.0 - 3.126
-        assert base >= second_moment_ratio_bound(lam) - 1e-9
+        assert _small_base(math.log(lam)) >= second_moment_ratio_bound(lam) - 1e-9
 
     def test_side_validation(self):
         with pytest.raises(ValueError):
@@ -206,8 +196,10 @@ class TestExponentOptimizers:
         assert u < 0.25
 
     def test_small_upper_regime_error(self):
-        with pytest.raises(RegimeError):
-            u_star_small_upper(0.25, 0.4)
+        # the small-scale upper regime is (8 eps^2, 1]; 8 eps^2 = 0.5 here
+        for lam in (0.5, 0.4, 0.1, 1.5):
+            with pytest.raises(ValueError, match="8 eps"):
+                u_star_small_upper(0.25, lam)
 
 
 class TestClassifyScale:
@@ -310,6 +302,28 @@ class TestPlanner:
             plan_dimension_for_delta(0.25, 1e-310)  # 2/delta overflows
         with pytest.raises(InfeasibleParameterError):
             plan_dimension_for_delta(0.001, 0.01)  # delta > epsilon
+
+    @pytest.mark.parametrize("real", [np.int64, np.float32, np.float64])
+    def test_numpy_reals_same_as_python_numbers(self, real):
+        # epsilon and c take numpy scalars as the counts take numpy
+        # integers; repr tells a Python float from a numpy one in a field
+        assert repr(plan_dimension(0.25, 100, real(3))) == repr(plan_dimension(0.25, 100, 3))
+        assert repr(max_abs_plan(64, 0.25, 100, real(4))) == repr(max_abs_plan(64, 0.25, 100, 4))
+        if real is not np.int64:  # no integer epsilon lies in (0, 1/4]
+            assert repr(plan_dimension(real(0.25), 100, 3)) == repr(plan_dimension(0.25, 100, 3))
+            assert repr(max_abs_plan(64, real(0.25), 100, 3)) == repr(
+                max_abs_plan(64, 0.25, 100, 3)
+            )
+
+    def test_bools_and_strings_rejected(self):
+        for bad in (True, np.True_, "0.25"):
+            with pytest.raises(InfeasibleParameterError, match="epsilon must be a number"):
+                plan_dimension(bad, 100, 3)
+            with pytest.raises(ValueError, match="epsilon must be a number"):
+                max_abs_plan(64, bad, 100, 3)
+        for bad in (True, np.True_, "3"):
+            with pytest.raises(InfeasibleParameterError, match="c must be a number"):
+                plan_dimension(0.25, 100, bad)
 
 
 class TestMaxBoundPlan:

@@ -217,19 +217,18 @@ class TestSketchConfig:
 
 class TestRegimeTag:
     def test_tags(self):
-        eps = 0.25
-        assert regime_tag(2.0, eps) == "large"
-        assert regime_tag(math.sqrt(1.25), eps) == "large"  # sqrt(1+eps) included
-        assert regime_tag(1.0, eps) == "small"
-        assert regime_tag(0.51, eps) == "small"
-        assert regime_tag(0.5, eps) == "unproven-upper"  # 8 eps^2 included
-        assert regime_tag(0.0, eps) == "really-small"
+        eps, lambda0 = 0.25, 1e-12
+        assert regime_tag(2.0, eps, lambda0) == "large"
+        assert regime_tag(math.sqrt(1.25), eps, lambda0) == "large"  # sqrt(1+eps) included
+        assert regime_tag(1.0, eps, lambda0) == "small"
+        assert regime_tag(0.51, eps, lambda0) == "small"
+        assert regime_tag(0.5, eps, lambda0) == "unproven-upper"  # 8 eps^2 included
+        assert regime_tag(0.0, eps, lambda0) == "really-small"
         # at or below the max-of-iid cutoff the two-sided band is proven
-        assert regime_tag(1e-13, eps, lambda0=1e-12) == "really-small"
+        assert regime_tag(1e-13, eps, lambda0) == "really-small"
+        assert regime_tag(1e-12, eps, lambda0) == "really-small"
         # between the cutoff and 8 eps^2 the upper tail is an open case
-        assert regime_tag(0.4, eps, lambda0=1e-12) == "unproven-upper"
-        # without a cutoff the conservative tag applies
-        assert regime_tag(1e-13, eps) == "unproven-upper"
+        assert regime_tag(0.4, eps, lambda0) == "unproven-upper"
 
     def test_array_matches_scalar(self):
         estimates = np.array([[2.0, 1.0, 0.0], [1e-13, 0.4, 1e-11]])
@@ -242,13 +241,13 @@ class TestRegimeTag:
             ["large", "small", "really-small"], ["really-small", "unproven-upper", "unproven-upper"]
         ]
         with pytest.raises(ValueError):
-            regime_tag(np.array([1.0, math.nan]), 0.25)
+            regime_tag(np.array([1.0, math.nan]), 0.25, 1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            regime_tag(-1.0, 0.25)
+            regime_tag(-1.0, 0.25, 1e-12)
         with pytest.raises(ValueError):
-            regime_tag(1.0, 0.3)
+            regime_tag(1.0, 0.3, 1e-12)
 
 
 class TestBinaryFormat:

@@ -9,23 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cauchysketch.specfun import (
-    atanh_add_arg,
-    atanh_eval,
-    dilog_reflection_residual,
-    li,
-    ti2,
-)
+from cauchysketch.specfun import atanh_add_arg, atanh_eval, ti2
 
 # Frozen reference values, mpmath at 50 decimal digits.
 CATALAN = 0.91596559417721901505
 TI2_HALF = 0.48722235829452235711
 TI2_TWO = 1.5760154034463234224
 TI2_TEN = 3.7167814930680685903
-LI2_HALF = 0.5822405264650125059
-LI_3HALVES_03 = 0.33831109554480628354
-LI3_MINUS_07 = -0.64866632128523549351
-LI2_MINUS_ONE = -0.82246703342411321824  # -pi^2/12
 
 
 class TestAtanh:
@@ -66,60 +56,6 @@ class TestAtanh:
             atanh_add_arg(1.0, 0.5)
         with pytest.raises(ValueError):
             atanh_add_arg(0.5, -1.0)
-
-
-class TestPolylog:
-    def test_frozen_values(self):
-        assert li(2.0, 0.5) == pytest.approx(LI2_HALF, abs=1e-14)
-        assert li(1.5, 0.3) == pytest.approx(LI_3HALVES_03, abs=1e-14)
-        assert li(3.0, -0.7) == pytest.approx(LI3_MINUS_07, abs=1e-14)
-        assert li(2.0, -1.0) == pytest.approx(LI2_MINUS_ONE, abs=1e-14)
-        assert li(2.0, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-14)
-
-    def test_reflection_covers_upper_range(self):
-        # 0.5 < x < 1 goes through the reflection/tail-bounded paths.
-        assert li(2.0, 0.9) + li(2.0, 0.1) + math.log(0.9) * math.log(0.1) == pytest.approx(
-            math.pi**2 / 6.0, abs=1e-13
-        )
-
-    def test_dilog_reflection_residual_grid(self):
-        worst = max(abs(dilog_reflection_residual(float(x))) for x in np.linspace(0.02, 0.98, 49))
-        assert worst <= 1e-10
-
-    @given(st.floats(-0.95, 0.95), st.sampled_from([0.75, 1.5, 2.0, 3.0]))
-    def test_input_squared_identity(self, x, b):
-        assert li(b, x) + li(b, -x) == pytest.approx(
-            2.0 ** (1.0 - b) * li(b, x * x), abs=1e-10
-        )
-
-    @given(st.floats(0.01, 0.99), st.sampled_from([1.25, 2.0, 2.5]))
-    def test_bounded_by_linear_envelope(self, x, b):
-        # On (0, 1): x <= Li_b(x) <= x Li_b(1) since j^-b weights decay.
-        assert x <= li(b, x) <= x * li(b, 1.0) + 1e-15
-
-    def test_negative_arguments_match_mpmath(self):
-        # -1 <= x < 0 is the accelerated alternating sum; x = -1 needs b > 1.
-        worst = 0.0
-        with mpmath.workdps(40):
-            for b in (0.75, 1.5, 2.0, 3.0):
-                for x in np.linspace(-1.0, -0.01, 41).tolist():
-                    if x == -1.0 and b <= 1.0:
-                        continue
-                    exact = float(mpmath.re(mpmath.polylog(b, x)))
-                    worst = max(worst, abs(li(b, x) - exact) / abs(exact))
-        assert worst <= 2e-15
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            li(2.0, 1.5)
-        with pytest.raises(ValueError):
-            li(2.0, -1.5)
-        with pytest.raises(ValueError):
-            li(1.0, 1.0)  # divergent harmonic point
-        with pytest.raises(ValueError):
-            li(0.0, 0.5)
-        with pytest.raises(ValueError):
-            li(2.0, math.nan)
 
 
 class TestTi2:
