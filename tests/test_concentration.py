@@ -161,6 +161,15 @@ class TestChernoffRates:
         )
         assert _branch_b_rate(0.25) == pytest.approx(1693.905022841885, rel=1e-12)
 
+    def test_small_upper_regime_errors(self):
+        # the small-scale upper regime is (8 eps^2, 1]; 8 eps^2 = 0.5 here
+        with pytest.raises(ValueError, match="8 eps"):
+            u_star_small_upper(0.25, 0.5)  # at 8 eps^2: unproven
+        with pytest.raises(ValueError, match="8 eps"):
+            u_star_small_upper(0.25, 0.1)
+        with pytest.raises(ValueError, match="8 eps"):
+            u_star_small_upper(0.25, 1.5)  # large-scale territory
+
     @settings(max_examples=200)
     @given(st.floats(0.01, 0.25), st.data())
     def test_small_upper_base_dominates_ratio_bound(self, eps, data):
@@ -196,10 +205,8 @@ class TestExponentOptimizers:
         assert u < 0.25
 
     def test_small_upper_regime_error(self):
-        # the small-scale upper regime is (8 eps^2, 1]; 8 eps^2 = 0.5 here
-        for lam in (0.5, 0.4, 0.1, 1.5):
-            with pytest.raises(ValueError, match="8 eps"):
-                u_star_small_upper(0.25, lam)
+        with pytest.raises(ValueError, match="8 eps"):
+            u_star_small_upper(0.25, 0.4)
 
 
 class TestClassifyScale:
