@@ -58,17 +58,27 @@ _LANES = min(
 # Smaller arrays take one lane: at 2^16 draws two lanes cost 6.3-7.6 ns a
 # draw against 5.4 ns on one.
 _LANE_MIN_ELEMENTS = 2**18
-# Elements a kernel transforms per step while they sit in cache (512 KB).
+# Elements a kernel transforms per step while they sit in cache (512 KB);
+# also the draws in one tile of whole rows of the Monte Carlo routines
+# (_map_rows), so none of them holds a rows x width draw array.
 _TILE = 2**16
-# Draws a bulk Monte Carlo routine or a sketch takes per block of rows
-# (8 MB of float64), so no n x k draw array is held whole. Larger blocks
-# make peak memory depend on the seed: at 4,000,000 draws the stability
-# suite's peak RSS ranged 72-96 MB over seeds 1-12, against 54-60 MB here.
+# Projection entries a sketch draws per block of rows of F (8 MB of
+# float64), so F is never held whole. The block edges decide which rows
+# one BLAS product covers, and with them the sketch bytes, so this stays
+# fixed for the sketch alone.
 _BLOCK_DRAWS = 2**20
 
 
+# Marks the threads running one of two lanes, so that a kernel called from
+# inside a lane takes one lane itself: lanes never nest.
+_lane = threading.local()
+
+
 def _lanes(elements: int) -> int:
-    """Lanes a kernel over this many elements is split over: 1 or 2."""
+    """Lanes a kernel over this many elements is split over: 1 or 2, and 1
+    inside a lane."""
+    if getattr(_lane, "inside", False):
+        return 1
     return _LANES if elements >= _LANE_MIN_ELEMENTS else 1
 
 
@@ -81,20 +91,52 @@ def _in_two_lanes(first, second) -> None:
     """
     failure = []
 
+    def in_lane(fn) -> None:
+        _lane.inside = True
+        try:
+            fn()
+        finally:
+            _lane.inside = False
+
     def run() -> None:
         try:
-            second()
+            in_lane(second)
         except BaseException as exc:  # re-raised in the caller
             failure.append(exc)
 
     worker = threading.Thread(target=run)
     worker.start()
     try:
-        first()
+        in_lane(first)
     finally:
         worker.join()
     if failure:
         raise failure[0]
+
+
+def _splits(rng: np.random.Generator, draws: int) -> bool:
+    """Whether a draw of this many values from rng is cut over two lanes."""
+    return _lanes(draws) == 2 and type(rng.bit_generator) is np.random.PCG64
+
+
+def _split_stream(rng: np.random.Generator, cut: int, first, second) -> None:
+    """Run first(rng) on this thread and second(ahead) on another, where
+    ahead is a PCG64 generator at draw ``cut`` of rng's stream.
+
+    ahead is a copy of rng advanced past ``cut`` doubles (PCG64.advance, a
+    jump-ahead in O(log cut) steps). rng then takes the copy's end state,
+    so when first draws ``cut`` values, the values of both and the stream
+    after them are those of one serial draw.
+    """
+    start = rng.bit_generator.state
+    ahead = np.random.PCG64()
+    ahead.state = start
+    ahead.advance(cut)
+    _in_two_lanes(lambda: first(rng), lambda: second(np.random.Generator(ahead)))
+    # advance drops a buffered 32-bit half; a serial double draw keeps it.
+    end = ahead.state
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    rng.bit_generator.state = end
 
 
 def _check_count(name: str, value, minimum: int) -> int:
@@ -151,21 +193,12 @@ def sample_standard_cauchy(rng: np.random.Generator, size: int) -> np.ndarray:
     """
     size = _check_count("size", size, 0)
     out = np.empty(size)
-    if _lanes(size) == 1 or type(rng.bit_generator) is not np.random.PCG64:
+    if not _splits(rng, size):
         return _fill_cauchy(rng, out)
     cut = size // 2
-    start = rng.bit_generator.state
-    ahead = np.random.PCG64()
-    ahead.state = start
-    ahead.advance(cut)
-    _in_two_lanes(
-        lambda: _fill_cauchy(rng, out[:cut]),
-        lambda: _fill_cauchy(np.random.Generator(ahead), out[cut:]),
+    _split_stream(
+        rng, cut, lambda g: _fill_cauchy(g, out[:cut]), lambda g: _fill_cauchy(g, out[cut:])
     )
-    # advance drops a buffered 32-bit half; a serial double draw keeps it.
-    end = ahead.state
-    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
-    rng.bit_generator.state = end
     return out
 
 
@@ -186,12 +219,39 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_DRAWS // width)
 
 
-def _draw_rows(rng: np.random.Generator, width: int, rows: int):
-    # `rows` rows of `width` standard Cauchy draws in stream order, yielded
-    # as (r, width) arrays of one block each.
-    per_block = _block_rows(width)
-    for done in range(0, rows, per_block):
-        yield sample_standard_cauchy(rng, min(per_block, rows - done) * width).reshape(-1, width)
+def _map_rows(rng: np.random.Generator, width: int, out: np.ndarray, fn) -> None:
+    """Draw len(out) rows of ``width`` standard Cauchy draws in stream order,
+    a tile of whole rows at a time, and call fn(tile, out[lo:hi]) on each
+    tile, an (hi - lo, width) array of rows lo..hi-1; fn writes what those
+    rows give into its slice of the caller's ``out``.
+
+    A tile holds at most _TILE draws (512 KB), or one row when a row is
+    wider, in a buffer its lane reuses; fn may overwrite the tile. From
+    2^18 draws on, with two CPUs, the rows are cut in two at a row edge
+    and drawn as sample_standard_cauchy cuts its draws, so fn runs on two
+    threads at once. When fn computes each row from its own draws alone,
+    out has the bits of one serial pass whatever the tile size and lane
+    count.
+    """
+    rows = len(out)
+    if rows < 2 or not _splits(rng, rows * width):
+        _map_tiles(rng, width, out, fn)
+        return
+    cut = rows // 2
+    _split_stream(
+        rng,
+        cut * width,
+        lambda g: _map_tiles(g, width, out[:cut], fn),
+        lambda g: _map_tiles(g, width, out[cut:], fn),
+    )
+
+
+def _map_tiles(rng: np.random.Generator, width: int, out: np.ndarray, fn) -> None:
+    per_tile = max(1, _TILE // width)
+    buffer = np.empty(min(per_tile, len(out)) * width)
+    for lo in range(0, len(out), per_tile):
+        dst = out[lo : lo + per_tile]
+        fn(_fill_cauchy(rng, buffer[: len(dst) * width]).reshape(len(dst), width), dst)
 
 
 def cdf_abs(t):
@@ -220,8 +280,8 @@ def stable_combination(v, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` independent sums sum_j v_j X_j with X_j iid Cauchy(1), each
     distributed as ||v||_1 X and consuming len(v) consecutive draws of the
     stream. Each sum is a function of its own draws alone, so the first m
-    sums of a call equal a call of size m; the call holds the sums and two
-    blocks of draws."""
+    sums of a call equal a call of size m; the call holds the sums and one
+    tile of draws per lane (see _map_rows)."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.size == 0:
         raise ValueError("stable_combination requires a non-empty vector")
@@ -229,12 +289,9 @@ def stable_combination(v, rng: np.random.Generator, size: int) -> np.ndarray:
         raise ValueError("stable_combination requires finite weights")
     size = _check_count("size", size, 1)
     out = np.empty(size)
-    done = 0
-    for rows in _draw_rows(rng, v.size, size):
-        # einsum sums each row in an order fixed by the row alone; a BLAS
-        # matrix-vector product rounds a row by where it sits in the call.
-        np.einsum("ij,j->i", rows, v, out=out[done : done + rows.shape[0]])
-        done += rows.shape[0]
+    # einsum sums each row in an order fixed by the row alone; a BLAS
+    # matrix-vector product rounds a row by where it sits in the call.
+    _map_rows(rng, v.size, out, lambda rows, dst: np.einsum("ij,j->i", rows, v, out=dst))
     return out
 
 

@@ -24,6 +24,7 @@ payload) used both for input datasets and sketch output.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,13 +236,16 @@ def read_binary_matrix(path) -> np.ndarray:
             raise DatasetFormatError(f"{path}: empty dataset ({rows} x {cols})")
         if rows * cols > MAX_ENTRIES:
             raise DatasetFormatError(f"{path}: {rows} x {cols} exceeds the entry budget")
-        data = np.fromfile(handle, dtype="<f8", count=rows * cols)
-        if data.size != rows * cols:
+        # The file size is checked before the payload is allocated, so a
+        # header promising more than the file holds costs nothing.
+        payload = os.fstat(handle.fileno()).st_size - 16
+        if payload < 8 * rows * cols:
             raise DatasetFormatError(
-                f"{path}: payload has {data.size} values, header promises {rows * cols}"
+                f"{path}: payload has {payload // 8} values, header promises {rows * cols}"
             )
-        if handle.read(1):
+        if payload > 8 * rows * cols:
             raise DatasetFormatError(f"{path}: trailing bytes after payload")
+        data = np.fromfile(handle, dtype="<f8", count=rows * cols)
     if not np.isfinite(data).all():
         raise DatasetFormatError(f"{path}: non-finite value in data")
     return data.reshape(rows, cols).astype(np.float64, copy=False)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ import numpy as np
 from .cauchy import (
     RngSeed,
     _check_count,
-    _draw_rows,
+    _map_rows,
     cdf_abs,
     ks_critical_value,
     ks_statistic,
@@ -247,12 +248,15 @@ def run_concentration_trial(
     k = _check_count("k", k, 1)
     trials = _check_count("trials", trials, 1)
     lo, hi = _band(lam, epsilon)
-    fail_upper = 0
-    fail_lower = 0
-    for draws in _draw_rows(make_generator(seed), k, trials):
-        means = xi(_scaled_abs(draws, lam)).mean(axis=1)
-        fail_upper += int(np.count_nonzero(means > hi))
-        fail_lower += int(np.count_nonzero(means < lo))
+    means = np.empty(trials)
+    _map_rows(
+        make_generator(seed),
+        k,
+        means,
+        lambda draws, dst: np.mean(xi(_scaled_abs(draws, lam)), axis=1, out=dst),
+    )
+    fail_upper = int(np.count_nonzero(means > hi))
+    fail_lower = int(np.count_nonzero(means < lo))
     return ConcentrationTrial(
         lam=lam, epsilon=epsilon, k=k, trials=trials, fail_upper=fail_upper, fail_lower=fail_lower
     )
@@ -271,7 +275,10 @@ def empirical_k_search(
     Doubling then bisection. All candidate k share per-trial draw prefixes
     (common random numbers): each trial's xi values are accumulated once,
     the mean at any k is a prefix mean, and the failure fraction becomes
-    monotone in k in practice, making the bisection well posed.
+    monotone in k in practice, making the bisection well posed. Every k
+    the search tests after drawing columns up to K lies in (K/2, K], so it
+    keeps each trial's running sum and, per column of that newest segment,
+    the number of trials outside the band.
     """
     target_fail = float(target_fail)
     if not 0.0 < target_fail <= 0.1:
@@ -280,22 +287,33 @@ def empirical_k_search(
     trials = _check_count("trials", trials, 1)
     lo_band, hi_band = _band(lam, epsilon)
     rng = make_generator(seed)
-    cum = np.empty((trials, 0))
+    sums = np.zeros(trials)
+    drawn = 0  # columns drawn so far
+    first = 0  # the first column of the newest segment
+    exits = np.zeros(0, dtype=np.intp)
+    lock = threading.Lock()
 
     def extend(to_cols: int) -> None:
-        nonlocal cum
-        add = to_cols - cum.shape[1]
-        if add <= 0:
-            return
-        draws = sample_standard_cauchy(rng, size=trials * add).reshape(trials, add)
-        block = np.cumsum(xi(_scaled_abs(draws, lam)), axis=1)
-        if cum.shape[1]:
-            block += cum[:, -1:]
-        cum = np.concatenate([cum, block], axis=1)
+        nonlocal drawn, first, exits
+        columns = np.arange(drawn + 1, to_cols + 1, dtype=np.float64)
+        counts = np.zeros(columns.size, dtype=np.intp)
+
+        def segment(draws, running) -> None:
+            prefix = xi(_scaled_abs(draws, lam))
+            np.cumsum(prefix, axis=1, out=prefix)
+            prefix += running[:, None]
+            running[:] = prefix[:, -1]
+            prefix /= columns  # the trials' means at every k of the segment
+            hits = np.count_nonzero((prefix > hi_band) | (prefix < lo_band), axis=0)
+            with lock:  # the two lanes add into one array
+                np.add(counts, hits, out=counts)
+
+        _map_rows(rng, columns.size, sums, segment)
+        drawn, first, exits = to_cols, drawn, counts
 
     def fail_fraction(k: int) -> float:
-        means = cum[:, k - 1] / k
-        return float(np.mean((means > hi_band) | (means < lo_band)))
+        # the bits of np.mean over the trials' band-exit flags at k
+        return int(exits[k - 1 - first]) / trials
 
     k = 1
     extend(1)
@@ -330,11 +348,15 @@ def verify_max_bound(k: int, lam: float, delta: float, trials: int, seed: RngSee
     lam = _check_lambda(lam, positive=True)
     trials = _check_count("trials", trials, 1)
     _, threshold = _max_threshold(k, delta)
-    exceed = 0
-    for draws in _draw_rows(make_generator(seed), k, trials):
-        # lambda scales maxima and threshold alike; compare at unit scale.
-        exceed += int(np.count_nonzero(np.abs(draws, out=draws).max(axis=1) > threshold))
-    frequency = exceed / trials
+    maxima = np.empty(trials)
+    _map_rows(
+        make_generator(seed),
+        k,
+        maxima,
+        lambda draws, dst: np.max(np.abs(draws, out=draws), axis=1, out=dst),
+    )
+    # lambda scales maxima and threshold alike; compare at unit scale.
+    frequency = int(np.count_nonzero(maxima > threshold)) / trials
     se = math.sqrt(delta * (1.0 - delta) / trials)
     return {
         "case": f"max-of-iid k={k} lambda={lam:g} delta={delta:g} t={lam * threshold:.6g}",
@@ -577,13 +599,21 @@ def _suite_tails(seed: RngSeed, trials: int | None) -> VerificationReport:
         )
     if trials != 0:
         n = 1_000_000 if trials is None else trials
+        # n draws of one scale at a time as n rows of one, mapped to xi
+        # a tile at a time into one reused array.
+        values = np.empty(n)
         for idx, lam in enumerate(lambdas):
-            draws = xi(_scaled_abs(sample_standard_cauchy(make_generator(_subseed(seed, 300 + idx)), n), lam))
+            _map_rows(
+                make_generator(_subseed(seed, 300 + idx)),
+                1,
+                values,
+                lambda draws, dst: np.copyto(dst, xi(_scaled_abs(draws[:, 0], lam))),
+            )
             for t in t_grid[lam]:
                 if not _in_validity(lam, t):
                     continue
                 bound = xi_tail_bound(lam, t)
-                frequency = float(np.mean(draws > t))
+                frequency = float(np.mean(values > t))
                 se = math.sqrt(bound * (1.0 - bound) / n)
                 cases.append(
                     _bound_case(
@@ -591,14 +621,17 @@ def _suite_tails(seed: RngSeed, trials: int | None) -> VerificationReport:
                     )
                 )
         for jdx, (lam, u) in enumerate(((0.5, 0.1), (0.5, 0.4), (1.0, 0.1), (1.0, 0.4))):
-            y = xi(_scaled_abs(sample_standard_cauchy(make_generator(_subseed(seed, 400 + jdx)), n), lam))
-            uy = u * y
-            diff = np.where(uy <= 1.0, np.exp(uy), 0.0) - 1.0 - uy - np.square(uy)
-            se = float(np.std(diff) / math.sqrt(n))
+            _map_rows(
+                make_generator(_subseed(seed, 400 + jdx)),
+                1,
+                values,
+                lambda draws, dst: _mgf_split(xi(_scaled_abs(draws[:, 0], lam)), u, dst),
+            )
+            se = float(np.std(values) / math.sqrt(n))
             cases.append(
                 _bound_case(
                     f"MGF splitting lambda={lam:g} u={u:g} (n={n})",
-                    float(np.mean(diff)),
+                    float(np.mean(values)),
                     0.0,
                     3.0 * se,
                 )
@@ -616,6 +649,12 @@ def _suite_tails(seed: RngSeed, trials: int | None) -> VerificationReport:
             )
         )
     return VerificationReport(suite="tails", cases=cases, rng=seed)
+
+
+def _mgf_split(y: np.ndarray, u: float, out: np.ndarray) -> None:
+    # e^{uy} 1{uy <= 1} - 1 - uy - (uy)^2 into out; y becomes uy.
+    y *= u
+    np.subtract(np.where(y <= 1.0, np.exp(y), 0.0) - 1.0 - y, np.square(y), out=out)
 
 
 def _in_validity(lam: float, t: float) -> bool:

@@ -14,6 +14,7 @@ from cauchysketch.cauchy import (
     GENERATOR_NAME,
     RngSeed,
     _check_count,
+    _map_rows,
     cdf_abs,
     ks_critical_value,
     ks_statistic,
@@ -345,3 +346,46 @@ class TestLanes:
         uniforms = np.random.Generator(bit_generator(11)).random(size)
         reference = np.tan(np.pi * (uniforms - 0.5))
         assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
+
+
+class TestMapRows:
+    """_map_rows draws tiles of whole rows, on one lane or two; every row
+    holds the draws of one serial draw whatever the tile size and lane
+    count, and the stream goes on from the same state."""
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize(
+        "tile, rows, width",
+        [
+            (2**16, 1000, 64),  # 1,024 rows a tile: one partial tile a lane
+            (100, 37, 9),  # 11 rows a tile, the last tile of a lane partial
+            (64, 13, 100),  # a row wider than a tile: one row a tile
+            (7, 2, 7),  # one row a tile and a lane
+            (5, 1, 3),  # one row takes one lane
+        ],
+    )
+    def test_rows_are_the_serial_draw(self, monkeypatch, lanes, tile, rows, width):
+        rng = make_generator(SEED)
+        rng.integers(0, 10, dtype=np.uint32)  # leaves half a 64-bit output buffered
+        expected = sample_standard_cauchy(rng, rows * width).reshape(rows, width)
+        expected_state, expected_next = rng.bit_generator.state, rng.random(5)
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        monkeypatch.setattr(cauchy_module, "_LANE_MIN_ELEMENTS", 1)
+        monkeypatch.setattr(cauchy_module, "_TILE", tile)
+        shapes = []
+
+        def copy(draws, dst):
+            shapes.append(draws.shape)
+            np.copyto(dst, draws)
+
+        rng = make_generator(SEED)
+        rng.integers(0, 10, dtype=np.uint32)
+        out = np.empty((rows, width))
+        _map_rows(rng, width, out, copy)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert rng.bit_generator.state == expected_state
+        assert np.array_equal(rng.random(5), expected_next)
+        per_tile = max(1, tile // width)
+        parts = [rows] if lanes == 1 or rows < 2 else [rows // 2, rows - rows // 2]
+        tiles = [(min(per_tile, part - lo), width) for part in parts for lo in range(0, part, per_tile)]
+        assert sorted(shapes) == sorted(tiles)

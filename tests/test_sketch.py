@@ -291,6 +291,23 @@ class TestBinaryFormat:
         with pytest.raises(DatasetFormatError):
             read_binary_matrix(path)
 
+    def test_header_larger_than_the_file_allocates_nothing(self, tmp_path):
+        # 32,768 x 65,536 entries is within the entry budget, and reading
+        # that payload would allocate 16 GiB; the 48-byte file is rejected
+        # from its size first.
+        path = str(tmp_path / "m.bin")
+        with open(path, "wb") as handle:
+            handle.write(np.array([32_768, 65_536], dtype="<u8").tobytes())
+            handle.write(np.ones(4, dtype="<f8").tobytes())
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError, match="payload has 4 values"):
+                read_binary_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_nonfinite_payload(self, tmp_path):
         path = str(tmp_path / "m.bin")
         with open(path, "wb") as handle:
@@ -443,3 +460,55 @@ class TestEndToEndAccuracy:
     def test_rho_symmetric_across_dataset(self):
         coords = sketch_dataset(np.eye(3), 64, SEED)
         assert rho(coords[0], coords[1]) == pytest.approx(rho(coords[1], coords[0]), abs=1e-15)
+
+
+class TestCancellationLimit:
+    """Each sketch coordinate is rounded to about 2^-53 of its size, so a
+    difference u_i - v_i of two rows is off by about 2e-16 ||x||_1 /
+    ||x - y||_1 of itself (README, "Precision limit")."""
+
+    D, K = 32, 1024
+
+    def _pair(self, ratio):
+        # x of l1 norm 1 and y = x + ratio z, z of l1 norm 1
+        rng = make_generator(RngSeed(5, 12))
+        x = rng.standard_normal(self.D)
+        x /= np.sum(np.abs(x))
+        z = rng.standard_normal(self.D)
+        z /= np.sum(np.abs(z))
+        return x, x + ratio * z
+
+    def _estimates(self, x, y):
+        # (sketch differences, the differences sketched directly, the
+        # estimate from each, the true distance)
+        coords = sketch_dataset(np.stack([x, y]), self.K, SEED)
+        exact = (x - y) @ build_projection(self.K, self.D, SEED).entries.T
+        sketched = coords[0] - coords[1]
+        zeros = np.zeros(self.K)
+        return (
+            sketched,
+            exact,
+            float(mu_inverse(rho(sketched, zeros))),
+            float(mu_inverse(rho(exact, zeros))),
+            float(np.sum(np.abs(x - y))),
+        )
+
+    @pytest.mark.parametrize("ratio", [1e-8, 1e-12, 1e-14])
+    def test_difference_error_follows_the_stated_limit(self, ratio):
+        sketched, exact, estimate, cancellation_free, _ = self._estimates(*self._pair(ratio))
+        error = float(np.median(np.abs(sketched - exact) / np.abs(exact)))
+        assert 2e-17 / ratio <= error <= 1e-15 / ratio
+        # the mean of xi averages the rounding: down to 1e-14 it moves the
+        # estimate by under 1%
+        assert estimate == pytest.approx(cancellation_free, rel=0.01)
+
+    def test_a_last_bit_difference_is_rounding_alone(self):
+        # y differs from x in the last bit of one coordinate: most sketch
+        # differences round to 0 and the estimate says nothing.
+        x, _ = self._pair(0.0)
+        y = x.copy()
+        y[0] = np.nextafter(x[0], np.inf)
+        sketched, exact, estimate, cancellation_free, truth = self._estimates(x, y)
+        assert np.count_nonzero(sketched == 0.0) > self.K // 2
+        assert cancellation_free == pytest.approx(truth, rel=0.25)
+        assert estimate < 0.5 * truth

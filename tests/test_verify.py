@@ -3,20 +3,31 @@
 import heapq
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cauchysketch.cauchy as cauchy_module
+import cauchysketch.metric as metric_module
 import cauchysketch.verify as verify_module
-from cauchysketch.cauchy import RngSeed, cdf_abs, ks_statistic, make_generator, stable_combination
+from cauchysketch.cauchy import (
+    RngSeed,
+    cdf_abs,
+    ks_statistic,
+    make_generator,
+    sample_standard_cauchy,
+    stable_combination,
+)
 from cauchysketch.concentration import (
     dominating_survival,
     plan_dimension_for_delta,
     u_star_small_upper,
     xi_tail_bound,
 )
+from cauchysketch.metric import xi
 from cauchysketch.moments import mu
 from cauchysketch.specfun import ti2
 from cauchysketch.verify import (
@@ -183,15 +194,15 @@ class TestConcentrationDrivers:
 
     def test_chunked_path_matches_single_shot(self, monkeypatch):
         whole = run_concentration_trial(1.0, 0.25, 64, 300, SEED)
-        draw = cauchy_module.sample_standard_cauchy
+        fill = cauchy_module._fill_cauchy
         sizes = []
 
-        def recording(rng, size):
-            sizes.append(size)
-            return draw(rng, size)
+        def recording(rng, out):
+            sizes.append(out.size)
+            return fill(rng, out)
 
-        monkeypatch.setattr(cauchy_module, "_BLOCK_DRAWS", 640)  # 10 rows a block
-        monkeypatch.setattr(cauchy_module, "sample_standard_cauchy", recording)
+        monkeypatch.setattr(cauchy_module, "_TILE", 640)  # 10 rows a tile
+        monkeypatch.setattr(cauchy_module, "_fill_cauchy", recording)
         pieces = run_concentration_trial(1.0, 0.25, 64, 300, SEED)
         assert sizes == [640] * 30
         assert (whole.fail_upper, whole.fail_lower) == (pieces.fail_upper, pieces.fail_lower)
@@ -236,6 +247,160 @@ class TestEmpiricalKSearch:
             empirical_k_search(2.0, 0.25, 0.5, SEED)
         with pytest.raises(ValueError):
             empirical_k_search(-1.0, 0.25, 0.01, SEED)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_holds_tiles_not_the_prefix_matrix(self, monkeypatch, lanes):
+        # Each trial keeps one running sum and the newest segment one exit
+        # count per column; the draws come a tile per lane at a time.
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        trials = 1000
+        tracemalloc.start()
+        try:
+            k = empirical_k_search(2.0, 0.125, 0.01, SEED, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = lanes * 4 * cauchy_module._TILE * 8 + 4 * trials * 8
+        assert trials * k * 8 > 2 * bound
+        assert peak <= bound
+
+
+def _prefix_matrix_k_search(lam, epsilon, target_fail, seed, trials):
+    # Reference search: every segment of columns drawn whole, its prefix
+    # sums appended to a trials x K matrix, and the exit fraction at k the
+    # mean of that column's band-exit flags. Returns the k found and the
+    # exit fraction at every k drawn.
+    lo_band, hi_band = verify_module._band(lam, epsilon)
+    rng = make_generator(seed)
+    cum = np.empty((trials, 0))
+
+    def extend(to_cols):
+        nonlocal cum
+        add = to_cols - cum.shape[1]
+        draws = np.abs(sample_standard_cauchy(rng, trials * add).reshape(trials, add)) * lam
+        block = np.cumsum(xi(draws), axis=1)
+        if cum.shape[1]:
+            block += cum[:, -1:]
+        cum = np.concatenate([cum, block], axis=1)
+
+    def fail(k):
+        means = cum[:, k - 1] / k
+        return float(np.mean((means > hi_band) | (means < lo_band)))
+
+    k = 1
+    extend(1)
+    while fail(k) > target_fail:
+        k *= 2
+        extend(k)
+    low, high = k // 2, k
+    while high - low > 1:
+        mid = (low + high) // 2
+        if fail(mid) <= target_fail:
+            high = mid
+        else:
+            low = mid
+    return high, [fail(j) for j in range(1, k + 1)]
+
+
+class TestTilesAndLanes:
+    """Every Monte Carlo routine gives the bits of the default tile and
+    lane count at any tile size and with lanes that split at any size:
+    each row is reduced from its own draws alone."""
+
+    # (_TILE, _LANES); each variant lets two lanes split from one draw on.
+    VARIANTS = [(2**16, 1), (2**16, 2), (700, 1), (700, 2), (50, 2)]
+
+    @staticmethod
+    def _outputs():
+        v = np.array([0.5, -2.0, 3.0, 1e-3, 7.0])
+        return {
+            "concentration": run_concentration_trial(1.0, 0.25, 64, 301, SEED),
+            "maxbound": verify_max_bound(100, 1.0, 0.2, 1001, SEED),
+            "stable_combination": stable_combination(v, make_generator(SEED), 1001).view(np.uint64).tolist(),
+            # k = 2000 in its concentration case is a row wider than a tile
+            "tails": run_suite("tails", SEED, trials=3001).to_jsonl_lines(),
+            "k_search": empirical_k_search(2.0, 0.25, 0.05, SEED, trials=301),
+        }
+
+    @pytest.mark.parametrize("tile, lanes", VARIANTS)
+    def test_tiles_and_lanes_change_no_bits(self, monkeypatch, tile, lanes):
+        reference = self._outputs()
+        monkeypatch.setattr(cauchy_module, "_TILE", tile)
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        monkeypatch.setattr(cauchy_module, "_LANE_MIN_ELEMENTS", 1)
+        assert self._outputs() == reference
+
+    @pytest.mark.parametrize("tile, lanes", VARIANTS)
+    def test_k_search_matches_the_prefix_matrix(self, monkeypatch, tile, lanes):
+        k, fractions = _prefix_matrix_k_search(2.0, 0.25, 0.05, SEED, 301)
+        assert fractions[k - 1] <= 0.05 < fractions[k - 2]
+        monkeypatch.setattr(cauchy_module, "_TILE", tile)
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        monkeypatch.setattr(cauchy_module, "_LANE_MIN_ELEMENTS", 1)
+        assert empirical_k_search(2.0, 0.25, 0.05, SEED, trials=301) == k
+
+    def test_lanes_lose_no_exit_count_under_stress(self, monkeypatch):
+        # The two lanes of a k search add their tiles' exit counts into one
+        # array per segment; numpy adds 1,024 counts without holding the
+        # GIL. Two searches at once (four lanes on at most two CPUs), one
+        # row a tile and a thread switch every microsecond: at every
+        # target an exit fraction of the last segment sets, a lost count
+        # would move the k found.
+        trials = 101
+        _, fractions = _prefix_matrix_k_search(2.0, 0.125, 0.01, SEED, trials)
+        assert len(fractions) == 2048
+        targets = sorted({f for f in fractions[1024:] if 0.0 < f <= 0.1})
+        expected = [_prefix_matrix_k_search(2.0, 0.125, t, SEED, trials)[0] for t in targets]
+        monkeypatch.setattr(cauchy_module, "_TILE", 64)
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        monkeypatch.setattr(cauchy_module, "_LANE_MIN_ELEMENTS", 1)
+        found = [[], []]
+
+        def search(out):
+            out.extend(empirical_k_search(2.0, 0.125, t, SEED, trials=trials) for t in targets)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=(out,)) for out in found]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(targets) >= 4
+        assert found == [expected, expected]
+
+    def test_a_lane_never_starts_a_lane(self, monkeypatch):
+        # Two rows of 2^18 draws go to two lanes, and each lane's xi of its
+        # row would take two lanes of its own outside a lane.
+        width = 2**18
+        reference = run_concentration_trial(1.0, 0.25, width, 2, SEED)
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        lock = threading.Lock()
+        calls = []
+        active = [0]
+        original = cauchy_module._in_two_lanes
+
+        def counting(first, second):
+            with lock:
+                active[0] += 1
+                calls.append(active[0])
+            try:
+                original(first, second)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(cauchy_module, "_in_two_lanes", counting)
+        monkeypatch.setattr(metric_module, "_in_two_lanes", counting)
+        trial = run_concentration_trial(1.0, 0.25, width, 2, SEED)
+        assert calls == [1]
+        assert (trial.fail_upper, trial.fail_lower) == (reference.fail_upper, reference.fail_lower)
+        xi(np.ones(width))  # outside a lane it takes two
+        assert calls == [1, 1]
 
 
 class TestMaxBoundDriver:
@@ -332,10 +497,10 @@ class TestSuites:
         assert report.gated_pass, failing
 
     def test_stability_holds_two_blocks(self):
-        # Each vector's n x dim Cauchy draws come a block at a time, so the
-        # suite holds two blocks (the one being drawn and the one before
-        # it) and a few n-float arrays, never a whole draw array; each case
-        # carries its own vector's statistic.
+        # Each vector's n x dim Cauchy draws come a tile at a time, so the
+        # suite holds a tile per lane and a few n-float arrays (the KS
+        # statistic's sort and CDF among them), never a whole draw array;
+        # each case carries its own vector's statistic.
         n = 100_000
         tracemalloc.start()
         try:
@@ -354,9 +519,23 @@ class TestSuites:
             scale = float(np.sum(np.abs(v)))
             assert case["oracle"] == ks_statistic(np.abs(samples) / scale, cdf_abs)
             dims.append(dim)
-        bound = 2 * cauchy_module._BLOCK_DRAWS * 8 + 4 * n * 8
-        assert max(dims) * n * 8 > bound  # one whole draw array would exceed it
+        bound = 4 * cauchy_module._TILE * 8 + 8 * n * 8
+        assert max(dims) * n * 8 > 2 * bound  # one whole draw array would exceed it
         assert peak <= bound
+
+    def test_tails_holds_two_arrays_of_n(self):
+        # The tail frequencies and the MGF-splitting differences are
+        # computed a tile at a time into one array of n values; np.std
+        # takes one more. The parent design held ~6 arrays of n.
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            report = run_suite("tails", SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.gated_pass
+        assert peak <= 2 * n * 8 + 4 * cauchy_module._TILE * 8
 
     def test_different_seeds_change_monte_carlo(self):
         a = run_suite("maxbound", SEED, trials=500)
