@@ -14,8 +14,8 @@ the buffer the uniforms were drawn into. Generator.random is uniform on
 [0, 1), and its u = 0 maps to tan of -pi/2 rounded to float64, the
 finite -1.633123935319537e16, so the transform has no pole to avoid and
 draw i is a function of uniform i alone: a stream cut into pieces gives
-the same values as one draw. That is what lets a large draw be filled
-from both ends at once (see sample_standard_cauchy).
+the same values as one draw. That is what lets the Monte Carlo row map
+draw its rows on two threads at once (see _map_rows).
 Streams come from numpy's PCG64 seeded through SeedSequence(entropy=seed,
 spawn_key=(stream_id,)), which is documented to be deterministic across
 platforms; the generator identity travels with sketch metadata so
@@ -49,36 +49,23 @@ GENERATOR_NAME = "pcg64-seedseq"
 _U64_MAX = 2**64 - 1
 
 
-# Threads the bulk kernels (the Cauchy draw, xi, the estimate's pair loop)
-# split one array over: the CPUs this process may run on, at most 2. Every
-# kernel writes the same bits at any lane count.
+# Threads the two loops that split work (the Monte Carlo row map and the
+# estimate's pair loop) run on: the CPUs this process may run on, at most 2.
+# Every loop writes the same bits at any lane count.
 _LANES = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
-# Smaller arrays take one lane: at 2^16 draws two lanes cost 6.3-7.6 ns a
+# Smaller work takes one lane: at 2^16 draws two lanes cost 6.3-7.6 ns a
 # draw against 5.4 ns on one.
 _LANE_MIN_ELEMENTS = 2**18
 # Elements a kernel transforms per step while they sit in cache (512 KB);
 # also the draws in one tile of whole rows of the Monte Carlo routines
 # (_map_rows), so none of them holds a rows x width draw array.
 _TILE = 2**16
-# Projection entries a sketch draws per block of rows of F (8 MB of
-# float64), so F is never held whole. The block edges decide which rows
-# one BLAS product covers, and with them the sketch bytes, so this stays
-# fixed for the sketch alone.
-_BLOCK_DRAWS = 2**20
-
-
-# Marks the threads running one of two lanes, so that a kernel called from
-# inside a lane takes one lane itself: lanes never nest.
-_lane = threading.local()
 
 
 def _lanes(elements: int) -> int:
-    """Lanes a kernel over this many elements is split over: 1 or 2, and 1
-    inside a lane."""
-    if getattr(_lane, "inside", False):
-        return 1
+    """Lanes a loop over this many elements is split over: 1 or 2."""
     return _LANES if elements >= _LANE_MIN_ELEMENTS else 1
 
 
@@ -87,36 +74,26 @@ def _in_two_lanes(first, second) -> None:
     for both, then raise the caller's exception, or else the worker's.
 
     numpy's ufuncs and Generator fills release the GIL, so two lanes over
-    disjoint slices of one array use two CPUs.
+    disjoint slices of one array use two CPUs. Lanes start only in the
+    Monte Carlo row map (_map_rows) and the estimate's pair loop, and no
+    kernel either one calls starts lanes, so lanes never nest.
     """
     failure = []
 
-    def in_lane(fn) -> None:
-        _lane.inside = True
-        try:
-            fn()
-        finally:
-            _lane.inside = False
-
     def run() -> None:
         try:
-            in_lane(second)
+            second()
         except BaseException as exc:  # re-raised in the caller
             failure.append(exc)
 
     worker = threading.Thread(target=run)
     worker.start()
     try:
-        in_lane(first)
+        first()
     finally:
         worker.join()
     if failure:
         raise failure[0]
-
-
-def _splits(rng: np.random.Generator, draws: int) -> bool:
-    """Whether a draw of this many values from rng is cut over two lanes."""
-    return _lanes(draws) == 2 and type(rng.bit_generator) is np.random.PCG64
 
 
 def _split_stream(rng: np.random.Generator, cut: int, first, second) -> None:
@@ -183,23 +160,9 @@ def sample_standard_cauchy(rng: np.random.Generator, size: int) -> np.ndarray:
     Consumes exactly ``size`` uniforms. A uniform of exactly 0 gives
     -1.633123935319537e16, the largest magnitude a draw can have. The
     median of Cauchy(1) is 0 and its quartiles are -+1.
-
-    From 2^18 draws on, with two CPUs, a PCG64 stream is cut in two: the
-    caller's generator fills the first half while a copy advanced past
-    it (PCG64.advance, a jump-ahead in O(log size) steps) fills the
-    second on another thread. The caller's generator then takes the
-    copy's end state, so values and the stream after them are those of
-    one serial draw. Other bit generators are drawn serially.
     """
     size = _check_count("size", size, 0)
-    out = np.empty(size)
-    if not _splits(rng, size):
-        return _fill_cauchy(rng, out)
-    cut = size // 2
-    _split_stream(
-        rng, cut, lambda g: _fill_cauchy(g, out[:cut]), lambda g: _fill_cauchy(g, out[cut:])
-    )
-    return out
+    return _fill_cauchy(rng, np.empty(size))
 
 
 def _fill_cauchy(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -214,11 +177,6 @@ def _fill_cauchy(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_rows(width: int) -> int:
-    """Rows of ``width`` draws in one block of _BLOCK_DRAWS; at least one."""
-    return max(1, _BLOCK_DRAWS // width)
-
-
 def _map_rows(rng: np.random.Generator, width: int, out: np.ndarray, fn) -> None:
     """Draw len(out) rows of ``width`` standard Cauchy draws in stream order,
     a tile of whole rows at a time, and call fn(tile, out[lo:hi]) on each
@@ -227,14 +185,15 @@ def _map_rows(rng: np.random.Generator, width: int, out: np.ndarray, fn) -> None
 
     A tile holds at most _TILE draws (512 KB), or one row when a row is
     wider, in a buffer its lane reuses; fn may overwrite the tile. From
-    2^18 draws on, with two CPUs, the rows are cut in two at a row edge
-    and drawn as sample_standard_cauchy cuts its draws, so fn runs on two
-    threads at once. When fn computes each row from its own draws alone,
-    out has the bits of one serial pass whatever the tile size and lane
-    count.
+    2^18 draws on, with two CPUs, the rows of a PCG64 stream are cut in two
+    at a row edge and the second half is drawn from a jump-ahead copy of
+    rng (see _split_stream), so fn runs on two threads at once; other bit
+    generators are drawn serially. When fn computes each row from its own
+    draws alone, out has the bits of one serial pass whatever the tile size
+    and lane count.
     """
     rows = len(out)
-    if rows < 2 or not _splits(rng, rows * width):
+    if rows < 2 or _lanes(rows * width) == 1 or type(rng.bit_generator) is not np.random.PCG64:
         _map_tiles(rng, width, out, fn)
         return
     cut = rows // 2

@@ -9,8 +9,9 @@ seed, so reruns are byte-identical. Exit codes are a stable contract:
     2  usage error or infeasible parameters
     3  I/O or data-format trouble
 
-The default seed comes from the CAUCHY_SKETCH_SEED environment variable
-(an integer); --seed overrides it, and both default to 0.
+sketch and verify take their default seed from the CAUCHY_SKETCH_SEED
+environment variable (an integer); --seed overrides it, and both default
+to 0. plan and estimate take no seed and ignore the variable.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .verify import SUITES, run_suite
 __all__ = ["main"]
 
 
-def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
+def cmd_plan(args: argparse.Namespace) -> int:
     plan = plan_dimension(args.epsilon, args.n, args.c)
     # Refuse a k that sketch would refuse.
     max_abs_plan(plan.k, args.epsilon, args.n, args.c)
@@ -64,7 +65,8 @@ def cmd_plan(args: argparse.Namespace, seed: RngSeed) -> int:
     return 0
 
 
-def cmd_sketch(args: argparse.Namespace, seed: RngSeed) -> int:
+def cmd_sketch(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args)
     points = read_points(args.input, args.format)
     n = points.shape[0]
     if n < 2:
@@ -116,7 +118,7 @@ def _write_sketch(path, coords, metadata) -> None:
                 os.unlink(name)
 
 
-def cmd_estimate(args: argparse.Namespace, seed: RngSeed) -> int:
+def cmd_estimate(args: argparse.Namespace) -> int:
     metadata_path = args.input + ".json"
     try:
         with open(metadata_path) as handle:
@@ -187,7 +189,8 @@ def _pair_table(n, rhos, estimates, tags):
         start = stop
 
 
-def cmd_verify(args: argparse.Namespace, seed: RngSeed) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     lines: list[str] = []
     all_pass = True
@@ -270,7 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args: argparse.Namespace) -> RngSeed:
-    seed = getattr(args, "seed", None)
+    """The seed of a command that takes --seed: the flag, else
+    $CAUCHY_SKETCH_SEED, else 0. Commands without --seed never read it."""
+    seed = args.seed
     if seed is None:
         raw = os.environ.get("CAUCHY_SKETCH_SEED")
         if raw is not None:
@@ -280,13 +285,13 @@ def _resolve_seed(args: argparse.Namespace) -> RngSeed:
                 raise ValueError(f"CAUCHY_SKETCH_SEED must be an integer, got {raw!r}") from None
         else:
             seed = 0
-    return RngSeed(int(seed), int(getattr(args, "stream", 0)))
+    return RngSeed(seed, args.stream)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, _resolve_seed(args))
+        return args.handler(args)
     except (DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

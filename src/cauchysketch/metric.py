@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cauchy import _TILE, _in_two_lanes, _lanes
+from .cauchy import _TILE
 
 __all__ = ["xi", "rho", "xi_small_envelope"]
 
@@ -29,25 +29,12 @@ def xi(a):
     """
     a = np.asarray(a, dtype=np.float64)
     out = np.empty(a.shape)
-    # Tile by tile into out, so besides a and out only one tile per lane
-    # is alive; xi is elementwise, so tiles and lanes keep every bit.
+    # Tile by tile into out, so besides a and out only one tile is alive;
+    # xi is elementwise, so tiles keep every bit.
     flat, flat_out = a.reshape(-1), out.reshape(-1)
-    starts = range(0, a.size, _TILE)
-    if _lanes(a.size) == 1:
-        _xi_tiles(flat, flat_out, starts)
-    else:
-        cut = len(starts) // 2
-        _in_two_lanes(
-            lambda: _xi_tiles(flat, flat_out, starts[:cut]),
-            lambda: _xi_tiles(flat, flat_out, starts[cut:]),
-        )
-    return float(out) if out.ndim == 0 else out
-
-
-def _xi_tiles(a, out, starts) -> None:
     root = np.empty(min(_TILE, a.size))
-    for lo in starts:
-        tile, dst = a[lo : lo + _TILE], out[lo : lo + _TILE]
+    for lo in range(0, a.size, _TILE):
+        tile, dst = flat[lo : lo + _TILE], flat_out[lo : lo + _TILE]
         if not (tile >= 0.0).all():  # also false on NaN
             raise ValueError("xi requires a >= 0")
         # The sum commutes, so the bits are those of
@@ -58,6 +45,7 @@ def _xi_tiles(a, out, starts) -> None:
         np.log1p(tile, out=dst)
         dst *= 0.5
         dst += part
+    return float(out) if out.ndim == 0 else out
 
 
 def rho(u, v):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import RngSeed, _block_rows, _check_count, _fill_cauchy, make_generator, sample_standard_cauchy
+from .cauchy import RngSeed, _check_count, _fill_cauchy, make_generator, sample_standard_cauchy
 from .concentration import _scale_cutoffs
 
 __all__ = [
@@ -47,6 +47,11 @@ __all__ = [
 # Cap on k*d; a dense float64 matrix at the cap is ~17 GB, well past
 # anything this sketch is meant for.
 MAX_ENTRIES = 2**31
+# Projection entries a sketch draws per block of rows of F (8 MB of
+# float64), so F is never held whole. The block edges decide which rows
+# one BLAS product covers, and with them the sketch bytes, so this stays
+# fixed.
+_BLOCK_DRAWS = 2**20
 
 
 class DatasetFormatError(ValueError):
@@ -95,7 +100,7 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
 
     F has the entries of build_projection(k, d, seed), shared by every
     point. It is drawn and applied a block of rows at a time (about
-    cauchy._BLOCK_DRAWS entries) into one reused buffer, so the memory held is
+    _BLOCK_DRAWS entries) into one reused buffer, so the memory held is
     the sketch plus one block. Raises ValueError when a product
     overflows: finite points can still produce an infinite sketch
     coordinate, which no distance could be read from. Raises it too when
@@ -105,7 +110,7 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
     arr = _as_point_array(points)
     d = arr.shape[1]
     k, d = _check_shape(k, d)
-    rows = _block_rows(d)
+    rows = max(1, _BLOCK_DRAWS // d)
     if rows > 64:
         # Block edges on multiples of 64 rows fall on BLAS register-tile
         # edges, so most blocks round like the same rows of one product.

@@ -316,20 +316,24 @@ class TestCountArguments:
 
 
 class TestLanes:
-    """A large PCG64 draw is split over two lanes by jump-ahead; the bits
-    and the stream after the draw are those of one lane."""
+    """The row map splits a large PCG64 draw over two lanes by jump-ahead;
+    the bits and the stream after the draw are those of one lane."""
 
-    def _draw(self, monkeypatch, lanes, rng, size):
-        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
-        return sample_standard_cauchy(rng, size)
+    @staticmethod
+    def _draw(rng, size):
+        # size rows of one draw each
+        out = np.empty((size, 1))
+        _map_rows(rng, 1, out, lambda draws, dst: np.copyto(dst, draws))
+        return out.ravel()
 
     @pytest.mark.parametrize("size", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**16 + 5, 4_000_000])
     def test_lanes_change_no_bits(self, monkeypatch, size):
         results = []
         for lanes in (1, 2):
+            monkeypatch.setattr(cauchy_module, "_LANES", lanes)
             rng = make_generator(SEED)
             rng.integers(0, 10, dtype=np.uint32)  # leaves half a 64-bit output buffered
-            draws = self._draw(monkeypatch, lanes, rng, size)
+            draws = self._draw(rng, size)
             results.append((draws, rng.bit_generator.state, sample_standard_cauchy(rng, 77)))
         (one, state_one, next_one), (two, state_two, next_two) = results
         assert np.array_equal(one.view(np.uint64), two.view(np.uint64))
@@ -339,10 +343,13 @@ class TestLanes:
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
     def test_other_bit_generators_draw_in_one_lane(self, monkeypatch, bit_generator):
         # None of these jumps ahead by draws (Philox advances by blocks of
-        # four outputs); their streams are drawn serially.
+        # four outputs); their streams are drawn serially, even where a
+        # PCG64 draw of the same size would split.
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        monkeypatch.setattr(cauchy_module, "_LANE_MIN_ELEMENTS", 1)
         size = 2**18 + 3
         rng = np.random.Generator(bit_generator(11))
-        draws = self._draw(monkeypatch, 2, rng, size)
+        draws = self._draw(rng, size)
         uniforms = np.random.Generator(bit_generator(11)).random(size)
         reference = np.tan(np.pi * (uniforms - 0.5))
         assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))

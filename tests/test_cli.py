@@ -437,3 +437,16 @@ class TestSeedResolution:
             ["sketch", "--input", dataset, "--output", str(tmp_path / "w.bin"),
              "--epsilon", "0.25", "--k", "4"]
         ) == 2
+
+    @pytest.mark.parametrize("raw", ["banana", "-1"])
+    def test_commands_without_seed_ignore_env(self, dataset, tmp_path, monkeypatch, capsys, raw):
+        sk = run_sketch(dataset, tmp_path)  # passes --seed 7
+        monkeypatch.setenv("CAUCHY_SKETCH_SEED", raw)
+        assert main(["plan", "--epsilon", "0.25", "--n", "200"]) == 0
+        assert main(["estimate", "--input", sk]) == 0
+        capsys.readouterr()
+        assert main(
+            ["sketch", "--input", dataset, "--output", str(tmp_path / "w.bin"),
+             "--epsilon", "0.25", "--k", "4"]
+        ) == 2
+        assert "must be an integer" in capsys.readouterr().err

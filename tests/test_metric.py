@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cauchysketch.cauchy as cauchy_module
+import cauchysketch.metric as metric_module
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
 from cauchysketch.metric import rho, xi, xi_small_envelope
 from cauchysketch.moments import mu_inverse
@@ -84,12 +85,14 @@ class TestXi:
 
 
 def _xi_reference(a):
-    # The whole-array ufunc expression xi's tiles and lanes must reproduce.
+    # The whole-array ufunc expression xi's tiles must reproduce.
     return np.log1p(np.sqrt(a)) + 0.5 * np.log1p(a)
 
 
 class TestXiLanes:
-    """From 2^18 elements on, xi runs tile by tile over two lanes."""
+    """xi runs tile by tile on the caller's thread: neither the tile size
+    nor the number of lanes the program may use changes a bit or the
+    memory it holds."""
 
     @staticmethod
     def _inputs():
@@ -107,23 +110,24 @@ class TestXiLanes:
     def test_lanes_change_no_bits(self, monkeypatch, shape):
         a = self._inputs()[shape]
         reference = _xi_reference(a)
-        for lanes in (1, 2):
-            monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        for tile in (2**16, 1000):
+            monkeypatch.setattr(metric_module, "_TILE", tile)
             out = xi(a)
             assert out.shape == a.shape
             assert np.array_equal(out.view(np.uint64), reference.view(np.uint64))
         # and element by element, at tile edges and at random
         flat, flat_out = np.ravel(a), np.ravel(out)
-        picks = [0, 1, 65_535, 65_536, 131_072, flat.size // 2, flat.size - 1]
+        picks = [0, 1, 999, 1000, 65_535, 65_536, 131_072, flat.size // 2, flat.size - 1]
         picks += make_generator(RngSeed(20240817, 22)).integers(0, flat.size, 100).tolist()
         for index in picks:
             one = np.float64(xi(float(flat[index])))
             assert one.view(np.uint64) == flat_out[index].view(np.uint64)
 
     @pytest.mark.parametrize("bad", [-1e-300, math.nan])
-    @pytest.mark.parametrize("lanes", [1, 2])
-    def test_bad_value_in_second_lane_raises(self, monkeypatch, lanes, bad):
-        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+    @pytest.mark.parametrize("tile", [2**16, 1000])
+    def test_bad_value_in_last_tile_raises(self, monkeypatch, tile, bad):
+        monkeypatch.setattr(metric_module, "_TILE", tile)
         a = np.ones(2**20)
         a[-1] = bad
         with pytest.raises(ValueError, match=r"xi requires a >= 0"):
@@ -131,6 +135,8 @@ class TestXiLanes:
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_holds_output_and_two_tiles_per_lane(self, monkeypatch, lanes):
+        # xi starts no lane, so on any CPU count it holds its output, one
+        # tile of roots and one tile of sign checks.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
         a = np.linspace(0.0, 1e6, 1 << 20)
         tracemalloc.start()
@@ -139,7 +145,7 @@ class TestXiLanes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + lanes * 2 * cauchy_module._TILE * 8
+        assert peak <= out.nbytes + 2 * metric_module._TILE * 8
 
 
 class TestSketchedPoint:

@@ -13,7 +13,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cauchysketch import cauchy as cauchy_module
 from cauchysketch import sketch as sketch_module
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
 from cauchysketch.cli import main
@@ -158,7 +157,7 @@ class TestBlockedSketch:
             return fill_cauchy(rng, out)
 
         fill_cauchy = sketch_module._fill_cauchy
-        monkeypatch.setattr(cauchy_module, "_BLOCK_DRAWS", 256)
+        monkeypatch.setattr(sketch_module, "_BLOCK_DRAWS", 256)
         monkeypatch.setattr(sketch_module, "_fill_cauchy", recording)
         coords = sketch_dataset(points, k, SEED)
         assert len(sizes) >= 2 and all(size % d == 0 and size <= max(256, d) for size in sizes)
@@ -180,7 +179,7 @@ class TestBlockedSketch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= coords.nbytes + 1.25 * cauchy_module._BLOCK_DRAWS * 8
+        assert peak <= coords.nbytes + 1.25 * sketch_module._BLOCK_DRAWS * 8
 
     @given(st.data())
     def test_duplicate_points_estimate_zero_really_small(self, data):

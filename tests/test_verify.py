@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import cauchysketch.cauchy as cauchy_module
-import cauchysketch.metric as metric_module
 import cauchysketch.verify as verify_module
 from cauchysketch.cauchy import (
     RngSeed,
@@ -374,33 +373,25 @@ class TestTilesAndLanes:
         assert found == [expected, expected]
 
     def test_a_lane_never_starts_a_lane(self, monkeypatch):
-        # Two rows of 2^18 draws go to two lanes, and each lane's xi of its
-        # row would take two lanes of its own outside a lane.
+        # Two rows of 2^18 draws go to two lanes; each lane's xi of its row
+        # and a direct draw as large start none, so lanes cannot nest.
         width = 2**18
         reference = run_concentration_trial(1.0, 0.25, width, 2, SEED)
         monkeypatch.setattr(cauchy_module, "_LANES", 2)
-        lock = threading.Lock()
         calls = []
-        active = [0]
         original = cauchy_module._in_two_lanes
 
         def counting(first, second):
-            with lock:
-                active[0] += 1
-                calls.append(active[0])
-            try:
-                original(first, second)
-            finally:
-                with lock:
-                    active[0] -= 1
+            calls.append(threading.current_thread())
+            original(first, second)
 
         monkeypatch.setattr(cauchy_module, "_in_two_lanes", counting)
-        monkeypatch.setattr(metric_module, "_in_two_lanes", counting)
         trial = run_concentration_trial(1.0, 0.25, width, 2, SEED)
-        assert calls == [1]
+        assert calls == [threading.main_thread()]
         assert (trial.fail_upper, trial.fail_lower) == (reference.fail_upper, reference.fail_lower)
-        xi(np.ones(width))  # outside a lane it takes two
-        assert calls == [1, 1]
+        xi(np.ones(width))
+        sample_standard_cauchy(make_generator(SEED), width)
+        assert len(calls) == 1
 
 
 class TestMaxBoundDriver:
