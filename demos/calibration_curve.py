@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from cauchysketch.metric import xi
 from cauchysketch.moments import expected_log1p, mu, mu_inverse, mu_small_envelope
 from cauchysketch.verify import quadrature_mean
 
@@ -18,7 +19,7 @@ print(f"{'lambda':>9} {'mu':>12} {'quadrature':>14} {'|diff|':>9}")
 for j in range(-6, 7, 2):
     lam = 10.0**j
     closed = mu(lam)
-    quad = quadrature_mean("xi", lam)
+    quad = quadrature_mean(xi, lam)
     print(f"{lam:>9.0e} {closed:>12.8f} {quad:>14.10f} {abs(closed - quad):>9.1e}")
 print()
 

@@ -24,9 +24,9 @@ print()
 # the per-regime rate reciprocals behind one of those rows
 plan = plan_dimension(0.25, 100, 3.0)
 print("per-regime rate reciprocals at eps = 0.25, N = 100:")
-for name, value in plan.regime_table().items():
+for name, value in plan.regimes.items():
     marker = "  <- binding" if name == plan.binding_regime else ""
     print(f"  {name:<20} {value:>12.1f}{marker}")
 print()
-print(f"k = ceil(ln(2/delta) * {max(plan.regime_table().values()):.1f}) = {plan.k}")
+print(f"k = ceil(ln(2/delta) * {max(plan.regimes.values()):.1f}) = {plan.k}")
 print(f"estimates below lambda0 = {plan.lambda0:.3e} carry no two-sided guarantee")

@@ -47,19 +47,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
     plan = plan_dimension(args.epsilon, args.n, args.c)
     # Refuse a k that sketch would refuse.
     max_abs_plan(plan.k, args.epsilon, args.n, args.c)
-    table = plan.regime_table()
     print(
         f"epsilon = {plan.epsilon:g}, N = {args.n}, c = {args.c:g}, "
         f"delta = N^-c = {plan.delta_fail:.6e}"
     )
-    for name, rate in table.items():
+    for name, rate in plan.regimes.items():
         marker = "  <- binding" if name == plan.binding_regime else ""
         print(f"  rate reciprocal {name:<22} {rate:18.4f}{marker}")
     print(f"  exponent optimizers u* = {plan.u_star_upper:.6g} (upper), {plan.u_star_lower:.6g} (lower)")
     print(f"  really-small cutoff lambda0 = {plan.lambda0:.6e}")
     print(f"k = ceil(ln(2/delta) * max rate reciprocal) = {plan.k}")
     if args.output:
-        payload = {"type": "chernoff-plan", **dataclasses.asdict(plan), "regimes": table}
+        payload = {"type": "chernoff-plan", **dataclasses.asdict(plan)}
         with open(args.output, "w") as handle:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0

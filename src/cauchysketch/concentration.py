@@ -76,8 +76,6 @@ _SMALL_BASE_CONST = 1.0 + 4.0 / math.pi + 8.0 + 2.0 * math.sqrt(2.0) + 0.25
 # Lower-tail constant branch on 1 <= lambda <= 2.
 _BRANCH_B_CONST = V_SQUARED + 4.0 + 2.0 * math.sqrt(2.0)
 
-_SIDES = ("upper", "lower")
-
 # Per-pair budgets delta at or below this make 2/delta, and so the planned
 # k, overflow.
 _MIN_DELTA = 2.0 / sys.float_info.max
@@ -85,12 +83,6 @@ _MIN_DELTA = 2.0 / sys.float_info.max
 
 class InfeasibleParameterError(ValueError):
     """Planner parameters outside the guarantee's hypotheses."""
-
-
-def _check_side(side: str) -> str:
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    return side
 
 
 def h_rate(x: float) -> float:
@@ -144,17 +136,17 @@ def xi_tail_bound(lam: float, t: float) -> float:
     return min(1.0, min(candidates))
 
 
-def chernoff_rate_large(epsilon: float, side: str) -> float:
-    """Rate reciprocal for large scales; independent of lambda.
+def chernoff_rate_large(epsilon: float) -> tuple[float, float]:
+    """(upper, lower) rate reciprocals for large scales; independent of lambda.
 
     Valid for lambda > 1/sqrt(1+eps) (upper) or lambda >= sqrt(1+eps)
     (lower): there the deviation width is at least eps(1-eps)/4, giving
-    4(V^2+A)/Delta^2 <= 64/(eps^2 (1-eps)^2) (V^2 + A).
+    4(V^2+A)/Delta^2 <= 64/(eps^2 (1-eps)^2) (V^2 + A), with A = A_PLUS
+    on the upper tail and A_MINUS on the lower.
     """
     epsilon = _check_epsilon(epsilon)
-    _check_side(side)
-    a = A_PLUS if side == "upper" else A_MINUS
-    return 64.0 / (epsilon**2 * (1.0 - epsilon) ** 2) * (V_SQUARED + a)
+    scale = 64.0 / (epsilon**2 * (1.0 - epsilon) ** 2)
+    return scale * (V_SQUARED + A_PLUS), scale * (V_SQUARED + A_MINUS)
 
 
 # Small-scale rate reciprocals, as functions of (eps, ln lambda):
@@ -179,8 +171,9 @@ def _branch_b_rate(epsilon: float) -> float:
     return 9.0 / epsilon**2 * _BRANCH_B_CONST
 
 
-def u_star_large(epsilon: float, side: str) -> float:
-    """Exponent optimizer Delta/(2(V^2+A)) at the large-scale regime edge.
+def u_star_large(epsilon: float) -> tuple[float, float]:
+    """(upper, lower) exponent optimizers Delta/(2(V^2+A)) at the
+    large-scale regime edge.
 
     Uses the in-regime deviation floor Delta = eps(1-eps)/4, the same one
     the printed rate divides by. The MGF splitting needs u < 1/2 on the
@@ -188,9 +181,8 @@ def u_star_large(epsilon: float, side: str) -> float:
     Delta < eps <= 1/4 while 2(V^2+A) > pi^2.
     """
     epsilon = _check_epsilon(epsilon)
-    _check_side(side)
-    a = A_PLUS if side == "upper" else A_MINUS
-    return epsilon * (1.0 - epsilon) / 4.0 / (2.0 * (V_SQUARED + a))
+    floor = epsilon * (1.0 - epsilon) / 4.0
+    return floor / (2.0 * (V_SQUARED + A_PLUS)), floor / (2.0 * (V_SQUARED + A_MINUS))
 
 
 def u_star_small_upper(epsilon: float, lam: float) -> float:
@@ -226,7 +218,8 @@ class ChernoffPlan:
     whose caps (< 1/2 and < 1) the MGF splitting relies on. binding_regime
     names the candidate that attained the overall max. lambda0 is the
     really-small cutoff at the planned k: below it the max-of-iid band
-    takes over from per-scale Chernoff bounds.
+    takes over from per-scale Chernoff bounds. regimes holds every
+    candidate rate reciprocal the planner maximized over, by regime name.
     """
 
     epsilon: float
@@ -238,6 +231,7 @@ class ChernoffPlan:
     u_star_lower: float
     binding_regime: str
     lambda0: float
+    regimes: dict[str, float]
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta_fail < 1.0:
@@ -253,22 +247,6 @@ class ChernoffPlan:
         )
         if self.k < need * (1.0 - 1e-12):
             raise ValueError(f"k={self.k!r} below the planned requirement {need!r}")
-
-    def regime_table(self) -> dict[str, float]:
-        """Every candidate rate reciprocal the planner maximized over."""
-        table = _static_candidates(self.epsilon)
-        table["really-small-lower"] = _small_lower_rate(self.epsilon, math.log(self.lambda0))
-        return table
-
-
-def _static_candidates(epsilon: float) -> dict[str, float]:
-    return {
-        "large-upper": chernoff_rate_large(epsilon, "upper"),
-        "large-lower": chernoff_rate_large(epsilon, "lower"),
-        # sup of the small-scale upper rate over its open regime (8 eps^2, 1]
-        "small-upper": _small_upper_rate(epsilon, math.log(8.0 * epsilon**2)),
-        "small-lower": _branch_b_rate(epsilon),
-    }
 
 
 def _ln_lambda0(epsilon: float, delta: float, k: int) -> float:
@@ -288,8 +266,15 @@ def _plan(epsilon: float, delta: float) -> ChernoffPlan:
     if epsilon < delta:
         raise InfeasibleParameterError(f"epsilon must be >= delta = {delta!r}, got {epsilon!r}")
     log_two_over_delta = math.log(2.0 / delta)
-    static = _static_candidates(epsilon)
-    static_max = max(static.values())
+    large_upper, large_lower = chernoff_rate_large(epsilon)
+    regimes = {
+        "large-upper": large_upper,
+        "large-lower": large_lower,
+        # sup of the small-scale upper rate over its open regime (8 eps^2, 1]
+        "small-upper": _small_upper_rate(epsilon, math.log(8.0 * epsilon**2)),
+        "small-lower": _branch_b_rate(epsilon),
+    }
+    static_max = max(regimes.values())
 
     # lambda0 depends on k, and enters the really-small lower branch
     # through -ln(lambda0): iterate to the fixed point.
@@ -304,19 +289,19 @@ def _plan(epsilon: float, delta: float) -> ChernoffPlan:
     else:
         raise ArithmeticError("target-dimension fixed point did not converge")
 
-    candidates = dict(static)
-    candidates["really-small-lower"] = rate_a
-    binding = max(candidates, key=candidates.get)
+    regimes["really-small-lower"] = rate_a
+    u_star_upper, u_star_lower = u_star_large(epsilon)
     return ChernoffPlan(
         epsilon=epsilon,
         delta_fail=delta,
         k=k,
-        rate_reciprocal_upper=max(static["large-upper"], static["small-upper"]),
-        rate_reciprocal_lower=max(static["large-lower"], static["small-lower"], rate_a),
-        u_star_upper=u_star_large(epsilon, "upper"),
-        u_star_lower=u_star_large(epsilon, "lower"),
-        binding_regime=binding,
+        rate_reciprocal_upper=max(regimes["large-upper"], regimes["small-upper"]),
+        rate_reciprocal_lower=max(regimes["large-lower"], regimes["small-lower"], rate_a),
+        u_star_upper=u_star_upper,
+        u_star_lower=u_star_lower,
+        binding_regime=max(regimes, key=regimes.get),
         lambda0=math.exp(_ln_lambda0(epsilon, delta, k)),
+        regimes=regimes,
     )
 
 
@@ -378,7 +363,6 @@ class MaxBoundPlan:
     k: int
     delta: float
     C_k: float
-    alpha: float
     p_t: float
     threshold_t: float
     lambda0: float
@@ -392,14 +376,14 @@ class MaxBoundPlan:
         if self.c0 > 1.0 / 6.0:
             raise ValueError(f"c0 must be <= 1/6, got {self.c0!r}")
         need = math.log(1.0 / self.delta)
-        got = h_rate(self.alpha) * self.k * self.p_t
+        got = h_rate(self.C_k) * self.k * self.p_t
         if got < need * (1.0 - 1e-12):
             raise ValueError(f"exceedance exponent {got!r} below ln(1/delta) = {need!r}")
 
     @property
     def exceedance_bound(self) -> float:
         """Certified bound on P{max exceeds the threshold}: delta e^{-delta/e}."""
-        return math.exp(-h_rate(self.alpha) * self.k * self.p_t)
+        return math.exp(-h_rate(self.C_k) * self.k * self.p_t)
 
 
 def _max_threshold(k: int, delta: float) -> tuple[float, float]:
@@ -412,10 +396,11 @@ def _max_threshold(k: int, delta: float) -> tuple[float, float]:
 def max_abs_plan(k: int, epsilon: float, n_points: int, c: float) -> MaxBoundPlan:
     """Plan the max-of-iid threshold at budget delta = N^{-c}.
 
-    Takes C_k = e/delta and alpha = C_k, puts the threshold at the
-    1/(k C_k) survival quantile of |X| (so t = 1/tan(pi/(2 k C_k)),
-    at most 2ke/(pi delta)), and records the really-small cutoff
-    lambda0 = eps^2 pi delta/(8 k e) together with c0 = eps^2/4.
+    Takes C_k = e/delta, which is also the alpha of the exceedance rate
+    H(alpha), puts the threshold at the 1/(k C_k) survival quantile of
+    |X| (so t = 1/tan(pi/(2 k C_k)), at most 2ke/(pi delta)), and records
+    the really-small cutoff lambda0 = eps^2 pi delta/(8 k e) together
+    with c0 = eps^2/4.
 
     This is the gate every sketch passes: plan, sketch and estimate all
     refuse the (k, epsilon, N, c) it raises ValueError on.
@@ -434,7 +419,6 @@ def max_abs_plan(k: int, epsilon: float, n_points: int, c: float) -> MaxBoundPla
         k=k,
         delta=delta,
         C_k=c_k,
-        alpha=c_k,
         p_t=p_t,
         threshold_t=threshold_t,
         lambda0=math.exp(_ln_lambda0(epsilon, delta, k)),

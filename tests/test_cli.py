@@ -1,5 +1,6 @@
 """The command-line surface: exit codes, file contracts, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -58,6 +59,18 @@ class TestPlan:
             "large-upper", "large-lower", "small-upper", "small-lower",
             "really-small-lower",
         }
+
+    def test_output_bytes_are_frozen(self, tmp_path, capsys):
+        # sha256 of the stdout and the --output JSON as 0.13.0 wrote them
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--epsilon", "0.25", "--n", "100", "--output", str(out)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "1071b86b430bf57eb92ddf2ec4385803755295a1c29c07c914edc989fd55c00c"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e1927161610d9295afa0f4d660126406077294da25843d135e493c51d1d5d93f"
+        )
 
     def test_infeasible_exits_2(self, capsys):
         assert main(["plan", "--epsilon", "0.5", "--n", "100"]) == 2

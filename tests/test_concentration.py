@@ -2,6 +2,7 @@
 max-of-iid threshold plan."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cauchysketch.concentration import (
     InfeasibleParameterError,
     V_SQUARED,
     _branch_b_rate,
+    _ln_lambda0,
     _small_base,
     _small_lower_rate,
     _small_upper_rate,
@@ -132,22 +134,26 @@ class TestTailBounds:
 
 class TestChernoffRates:
     def test_large_rate_values(self):
-        assert chernoff_rate_large(0.25, "upper") == pytest.approx(RATE_UPPER_QUARTER, rel=1e-12)
-        assert chernoff_rate_large(0.25, "lower") == pytest.approx(RATE_LOWER_QUARTER, rel=1e-12)
+        upper, lower = chernoff_rate_large(0.25)
+        assert upper == pytest.approx(RATE_UPPER_QUARTER, rel=1e-12)
+        assert lower == pytest.approx(RATE_LOWER_QUARTER, rel=1e-12)
+        with pytest.raises(ValueError):
+            chernoff_rate_large(0.3)
 
     def test_large_rate_closed_form(self):
         eps = 0.1
         expected = 64.0 * (V_SQUARED + A_PLUS) / (eps**2 * (1.0 - eps) ** 2)
-        assert chernoff_rate_large(eps, "upper") == pytest.approx(expected, rel=1e-14)
+        assert chernoff_rate_large(eps)[0] == pytest.approx(expected, rel=1e-14)
 
     @given(epsilons)
     def test_upper_needs_more_than_lower(self, eps):
         # A_plus > A_minus, everything else equal
-        assert chernoff_rate_large(eps, "upper") > chernoff_rate_large(eps, "lower")
+        upper, lower = chernoff_rate_large(eps)
+        assert upper > lower
 
     @given(st.floats(1e-4, 0.24))
     def test_rate_decreasing_in_epsilon(self, eps):
-        assert chernoff_rate_large(eps, "upper") > chernoff_rate_large(eps * 1.04, "upper")
+        assert chernoff_rate_large(eps)[0] > chernoff_rate_large(eps * 1.04)[0]
 
     def test_small_rate_values(self):
         # the rates the planner and the printed regime table take, at
@@ -178,23 +184,19 @@ class TestChernoffRates:
         lam = data.draw(st.floats(8.0 * eps**2 * 1.0001, 1.0))
         assert _small_base(math.log(lam)) >= second_moment_ratio_bound(lam) - 1e-9
 
-    def test_side_validation(self):
-        with pytest.raises(ValueError):
-            chernoff_rate_large(0.25, "sideways")
-        with pytest.raises(ValueError):
-            chernoff_rate_large(0.3, "upper")
-
 
 class TestExponentOptimizers:
     def test_frozen_values(self):
-        assert u_star_large(0.25, "upper") == pytest.approx(0.00182689977633213, rel=1e-12)
-        assert u_star_large(0.25, "lower") == pytest.approx(0.0037237465966963967, rel=1e-12)
+        upper, lower = u_star_large(0.25)
+        assert upper == pytest.approx(0.00182689977633213, rel=1e-12)
+        assert lower == pytest.approx(0.0037237465966963967, rel=1e-12)
 
     @given(epsilons)
     def test_large_caps(self, eps):
         # the MGF splitting needs u < 1/2 on the upper side, u < 1 below
-        assert 0.0 < u_star_large(eps, "upper") < 0.5
-        assert 0.0 < u_star_large(eps, "lower") < 1.0
+        upper, lower = u_star_large(eps)
+        assert 0.0 < upper < 0.5
+        assert 0.0 < lower < 1.0
 
     @settings(max_examples=200)
     @given(st.floats(0.01, 0.25), st.data())
@@ -234,8 +236,7 @@ class TestPlanner:
         assert plan.binding_regime == "large-upper"
         assert plan.delta_fail == pytest.approx(1e-6, rel=1e-12)
         assert plan.lambda0 == pytest.approx(2.66466770162303e-14, rel=1e-9)
-        assert plan.u_star_upper == u_star_large(0.25, "upper")
-        assert plan.u_star_lower == u_star_large(0.25, "lower")
+        assert (plan.u_star_upper, plan.u_star_lower) == u_star_large(0.25)
 
     def test_reference_plan_for_delta(self):
         plan = plan_dimension_for_delta(0.25, 0.01)
@@ -244,7 +245,7 @@ class TestPlanner:
 
     def test_k_matches_regime_table(self):
         plan = plan_dimension(0.25, 100, 3)
-        table = plan.regime_table()
+        table = plan.regimes
         assert set(table) == {
             "large-upper",
             "large-lower",
@@ -257,9 +258,21 @@ class TestPlanner:
         assert table[plan.binding_regime] == worst
         assert plan.k == math.ceil(math.log(2.0 / plan.delta_fail) * worst)
 
+    def test_regimes_hold_the_rates_k_came_from(self):
+        # lambda0 = 3.6e-312 is subnormal here, so ln(lambda0) is not the
+        # ln the fixed point used (the rate through it is 1 ulp off). The
+        # table holds the planner's own rate, which binds at this budget.
+        eps, n, c = 0.024271396384081233, 1708, 92.10736293872966
+        plan = plan_dimension(eps, n, c)
+        assert plan.lambda0 < sys.float_info.min
+        rate = _small_lower_rate(eps, _ln_lambda0(eps, plan.delta_fail, plan.k))
+        assert plan.regimes["really-small-lower"] == rate
+        assert plan.binding_regime == "really-small-lower"
+        assert plan.k == math.ceil(math.log(2.0 / plan.delta_fail) * rate)
+
     def test_rate_reciprocals_cover_table(self):
         plan = plan_dimension(0.2, 1000, 4)
-        table = plan.regime_table()
+        table = plan.regimes
         assert plan.rate_reciprocal_upper == pytest.approx(
             max(table["large-upper"], table["small-upper"]), rel=1e-12
         )
@@ -337,7 +350,6 @@ class TestMaxBoundPlan:
     def test_reference_plan(self):
         plan = max_abs_plan(1000, 0.25, 100, 3)
         assert plan.C_k == pytest.approx(math.e * 1e6, rel=1e-12)
-        assert plan.alpha == plan.C_k
         assert plan.p_t == pytest.approx(3.678794411714418e-10, rel=1e-12)
         assert plan.threshold_t == pytest.approx(1730511958.8645327, rel=1e-12)
         assert plan.lambda0 == pytest.approx(9.029119920241565e-12, rel=1e-12)
