@@ -6,7 +6,7 @@ seed, so reruns are byte-identical. Exit codes are a stable contract:
 
     0  success / all gated verification cases pass
     1  a gated verification case failed
-    2  usage error or infeasible parameters
+    2  usage error, infeasible parameters, or out of memory
     3  I/O or data-format trouble
 
 sketch and verify take their default seed from the CAUCHY_SKETCH_SEED
@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .cauchy import RngSeed, _check_count, _fill_cauchy, make_generator, sample_standard_cauchy
 from .concentration import _scale_cutoffs
+from .moments import _check_lambda
 
 __all__ = [
     "DatasetFormatError",
@@ -147,7 +148,8 @@ def regime_tag(estimate, epsilon: float, lambda0: float):
     of the sketch's plan: at or below it the two-sided corollary band is
     proven (really-small), between lambda0 and 8 eps^2 the upper tail is
     an open case (unproven-upper). An estimate of 0 (duplicate rows) is
-    really-small whatever lambda0 is. The classification uses the
+    really-small whatever lambda0 is; lambda0 itself must be finite and
+    >= 0 (a plan's lambda0 can underflow to 0). The classification uses the
     estimate itself since the true distance is unknown. A float gives
     one tag; an array gives an object array of its shape holding the
     tags.
@@ -156,6 +158,7 @@ def regime_tag(estimate, epsilon: float, lambda0: float):
     bad = np.isnan(est) | (est < 0.0)
     if bad.any():
         raise ValueError(f"estimate must be >= 0, got {float(est[bad].flat[0])!r}")
+    lambda0 = _check_lambda(lambda0)
     large_from, small_above = _scale_cutoffs(epsilon)
     proven_small = (est == 0.0) | (est <= lambda0)
     codes = np.select([est >= large_from, est > small_above, proven_small], [0, 1, 2], 3)

@@ -354,18 +354,11 @@ def verify_max_bound(k: int, lam: float, delta: float, trials: int, seed: RngSee
     # lambda scales maxima and threshold alike; compare at unit scale.
     frequency = int(np.count_nonzero(maxima > threshold)) / trials
     se = math.sqrt(delta * (1.0 - delta) / trials)
-    return {
-        "case": f"max-of-iid k={k} lambda={lam:g} delta={delta:g} t={lam * threshold:.6g}",
-        "closed_form": delta,
-        "oracle": frequency,
-        "residual": frequency - delta,
-        "tolerance": 3.0 * se,
-        "pass": frequency <= delta + 3.0 * se,
-        "gated": True,
-    }
+    name = f"max-of-iid k={k} lambda={lam:g} delta={delta:g} t={lam * threshold:.6g}"
+    return _bound_case(name, frequency, delta, 3.0 * se)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """One suite's worth of oracle comparisons.
 
@@ -432,12 +425,11 @@ def _subseed(seed: RngSeed, offset: int) -> RngSeed:
     return RngSeed(seed.seed, seed.stream_id + offset)
 
 
-def _suite_specfun(seed: RngSeed, trials: int | None) -> VerificationReport:
-    cases = []
+def _suite_specfun(seed: RngSeed, n: int = 0):
     worst = max(
         abs(math.atan(x) + math.atan(1.0 / x) - math.pi / 2.0) for x in np.logspace(-3, 3, 25)
     )
-    cases.append(_bound_case("arctan inversion identity, 25-point log grid", worst, 0.0, 1e-14))
+    yield _bound_case("arctan inversion identity, 25-point log grid", worst, 0.0, 1e-14)
 
     grid = np.linspace(-0.9, 0.9, 13)
     worst = max(
@@ -445,143 +437,118 @@ def _suite_specfun(seed: RngSeed, trials: int | None) -> VerificationReport:
         for x in grid
         for y in grid
     )
-    cases.append(_bound_case("atanh addition identity, 13x13 grid", worst, 0.0, 1e-12))
+    yield _bound_case("atanh addition identity, 13x13 grid", worst, 0.0, 1e-12)
 
     # Ti_2(x) = int_0^1 arctan(x s)/s ds; Kronrod nodes are interior, so
     # s = 0 is never evaluated.
     for x in (0.5, 2.0, 10.0, 100.0):
         quadrature = _adaptive_unit(lambda s: np.arctan(x * s) / s, 1e-13)
-        cases.append(_det_case(f"ti2 vs quadrature at x={x:g}", ti2(x), quadrature, 1e-12))
+        yield _det_case(f"ti2 vs quadrature at x={x:g}", ti2(x), quadrature, 1e-12)
 
-    cases.append(
-        _det_case("ti2(1) against its known value", ti2(1.0), 0.9159655941772190, 1e-13)
-    )
-    return VerificationReport(suite="specfun", cases=cases, rng=seed)
+    yield _det_case("ti2(1) against its known value", ti2(1.0), 0.9159655941772190, 1e-13)
 
 
-def _suite_moments(seed: RngSeed, trials: int | None) -> VerificationReport:
-    cases = []
+def _suite_moments(seed: RngSeed, n: int = 0):
     decades = [10.0**j for j in range(-4, 5)]
     rng = make_generator(_subseed(seed, 101))
     randoms = [float(v) for v in np.exp(rng.uniform(math.log(1e-4), math.log(1e4), size=50))]
 
     for lam in decades:
-        cases.append(
-            _det_case(
-                f"mu vs quadrature at lambda={lam:g}", mu(lam), quadrature_mean(xi, lam), 1e-9
-            )
+        yield _det_case(
+            f"mu vs quadrature at lambda={lam:g}", mu(lam), quadrature_mean(xi, lam), 1e-9
         )
-        cases.append(
-            _det_case(
-                f"expected_log1p vs quadrature at lambda={lam:g}",
-                expected_log1p(lam),
-                quadrature_mean(np.log1p, lam),
-                1e-8,
-            )
+        yield _det_case(
+            f"expected_log1p vs quadrature at lambda={lam:g}",
+            expected_log1p(lam),
+            quadrature_mean(np.log1p, lam),
+            1e-8,
         )
     worst_mu = max(abs(mu(lam) - quadrature_mean(xi, lam)) for lam in randoms)
     worst_log = max(abs(expected_log1p(lam) - quadrature_mean(np.log1p, lam)) for lam in randoms)
-    cases.append(_bound_case("mu vs quadrature, 50 random scales", worst_mu, 0.0, 1e-9))
-    cases.append(_bound_case("expected_log1p vs quadrature, 50 random scales", worst_log, 0.0, 1e-8))
+    yield _bound_case("mu vs quadrature, 50 random scales", worst_mu, 0.0, 1e-9)
+    yield _bound_case("expected_log1p vs quadrature, 50 random scales", worst_log, 0.0, 1e-8)
 
     half_pi_sq = math.pi * math.pi / 2.0
     for lam in decades:
         second = quadrature_mean(_xi_squared, lam)
-        cases.append(
-            _bound_case(f"variance bound at lambda={lam:g}", second - mu(lam) ** 2, half_pi_sq, 1e-9)
+        yield _bound_case(
+            f"variance bound at lambda={lam:g}", second - mu(lam) ** 2, half_pi_sq, 1e-9
         )
-        cases.append(
-            _bound_case(
-                f"second moment below closed-form bound at lambda={lam:g}",
-                second,
-                second_moment_upper(lam),
-                1e-9,
-            )
+        yield _bound_case(
+            f"second moment below closed-form bound at lambda={lam:g}",
+            second,
+            second_moment_upper(lam),
+            1e-9,
         )
     for lam in np.linspace(0.05, 2.0, 16):
         lam = float(lam)
-        cases.append(
-            _bound_case(
-                f"second-moment ratio bound at lambda={lam:g}",
-                quadrature_mean(_xi_squared, lam) / lam,
-                second_moment_ratio_bound(lam),
-                1e-9,
-            )
+        yield _bound_case(
+            f"second-moment ratio bound at lambda={lam:g}",
+            quadrature_mean(_xi_squared, lam) / lam,
+            second_moment_ratio_bound(lam),
+            1e-9,
         )
 
     for lam in (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0):
         low, high = mu_small_envelope(lam)
         value = quadrature_mean(xi, lam)
-        cases.append(
-            {
-                "case": f"mu small-scale envelope at lambda={lam:g}",
-                "closed_form": high,
-                "oracle": value,
-                "residual": max(low - value, value - high),
-                "tolerance": 1e-12,
-                "pass": low - 1e-12 <= value <= high + 1e-12,
-                "gated": True,
-            }
-        )
+        yield {
+            "case": f"mu small-scale envelope at lambda={lam:g}",
+            "closed_form": high,
+            "oracle": value,
+            "residual": max(low - value, value - high),
+            "tolerance": 1e-12,
+            "pass": low - 1e-12 <= value <= high + 1e-12,
+            "gated": True,
+        }
 
     for a in (1.05, 1.1, 1.25):
         eps = a - 1.0
         floor = eps / 4.0 * (1.0 - eps)
         for lam in (1.0 / math.sqrt(a), 1.0, 5.0, 100.0):
             delta_plus = deviations(lam, eps).delta_plus
-            cases.append(
-                {
-                    "case": f"deviation sandwich a={a:g} lambda={lam:g}",
-                    "closed_form": floor,
-                    "oracle": delta_plus,
-                    "residual": delta_plus - floor,
-                    "tolerance": eps - floor,
-                    "pass": floor + 1e-12 <= delta_plus <= eps - 1e-12,
-                    "gated": True,
-                }
-            )
+            yield {
+                "case": f"deviation sandwich a={a:g} lambda={lam:g}",
+                "closed_form": floor,
+                "oracle": delta_plus,
+                "residual": delta_plus - floor,
+                "tolerance": eps - floor,
+                "pass": floor + 1e-12 <= delta_plus <= eps - 1e-12,
+                "gated": True,
+            }
 
     rng = make_generator(_subseed(seed, 102))
     lams = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), size=1000))
     round_trip = mu_inverse(mu(lams))
     worst_rel = float(np.max(np.abs(round_trip - lams) / lams))
-    cases.append(_bound_case("mu_inverse round trip, 1000 random scales", worst_rel, 0.0, 1e-10))
-    return VerificationReport(suite="moments", cases=cases, rng=seed)
+    yield _bound_case("mu_inverse round trip, 1000 random scales", worst_rel, 0.0, 1e-10)
 
 
-def _suite_stability(seed: RngSeed, trials: int | None) -> VerificationReport:
-    cases = []
+def _suite_stability(seed: RngSeed, n: int = 100_000):
     grid = np.logspace(-3, 3, 20)
     worst = max(abs(cdf_abs(t) + survival_abs(t) - 1.0) for t in grid)
-    cases.append(_bound_case("cdf_abs + survival_abs = 1 on log grid", worst, 0.0, 1e-15))
-    if trials != 0:
-        n = 100_000 if trials is None else trials
-        # 10 combination statistics and 1 raw-draw statistic share a
-        # family-wise level of 1% (Bonferroni), not 1% each.
-        critical = ks_critical_value(n, 0.01 / 11)
-        vec_rng = make_generator(_subseed(seed, 103))
-        for i in range(10):
-            dim = int(vec_rng.integers(2, 50))
-            v = vec_rng.standard_normal(dim) * np.exp(vec_rng.uniform(-2.0, 2.0, size=dim))
-            samples = stable_combination(v, make_generator(_subseed(seed, 200 + i)), size=n)
-            statistic = ks_statistic(np.abs(samples) / float(np.sum(np.abs(v))), cdf_abs)
-            name = f"1-stability KS, vector {i} (dim {dim}, n={n})"
-            cases.append(_bound_case(name, statistic, critical, 0.0))
-        direct = sample_standard_cauchy(make_generator(_subseed(seed, 104)), n)
-        np.abs(direct, out=direct)
-        cases.append(
-            _bound_case(
-                f"KS of raw |X| draws vs cdf_abs (n={n})",
-                ks_statistic(direct, cdf_abs),
-                critical,
-                0.0,
-            )
-        )
-    return VerificationReport(suite="stability", cases=cases, rng=seed)
+    yield _bound_case("cdf_abs + survival_abs = 1 on log grid", worst, 0.0, 1e-15)
+    if not n:
+        return
+    # 10 combination statistics and 1 raw-draw statistic share a
+    # family-wise level of 1% (Bonferroni), not 1% each.
+    critical = ks_critical_value(n, 0.01 / 11)
+    vec_rng = make_generator(_subseed(seed, 103))
+    for i in range(10):
+        dim = int(vec_rng.integers(2, 50))
+        v = vec_rng.standard_normal(dim) * np.exp(vec_rng.uniform(-2.0, 2.0, size=dim))
+        samples = stable_combination(v, make_generator(_subseed(seed, 200 + i)), size=n)
+        statistic = ks_statistic(np.abs(samples) / float(np.sum(np.abs(v))), cdf_abs)
+        name = f"1-stability KS, vector {i} (dim {dim}, n={n})"
+        yield _bound_case(name, statistic, critical, 0.0)
+    direct = sample_standard_cauchy(make_generator(_subseed(seed, 104)), n)
+    np.abs(direct, out=direct)
+    yield _bound_case(
+        f"KS of raw |X| draws vs cdf_abs (n={n})", ks_statistic(direct, cdf_abs), critical, 0.0
+    )
 
 
-def _suite_tails(seed: RngSeed, trials: int | None) -> VerificationReport:
-    cases = []
+def _suite_tails(seed: RngSeed, n: int = 1_000_000):
     lambdas = (0.1, 1.0, 10.0)
     t_grid = {lam: [2.0, 2.5, 3.0, 5.0, 10.0, 2.0 * math.log1p(math.sqrt(lam))] for lam in lambdas}
     for lam in lambdas:
@@ -590,63 +557,55 @@ def _suite_tails(seed: RngSeed, trials: int | None) -> VerificationReport:
             for t in t_grid[lam]
             if _in_validity(lam, t)
         )
-        cases.append(
-            _bound_case(f"exact dominating survival <= bound, lambda={lam:g}", worst, 0.0, 0.0)
+        yield _bound_case(f"exact dominating survival <= bound, lambda={lam:g}", worst, 0.0, 0.0)
+    if not n:
+        return
+    # n draws of one scale at a time as n rows of one, mapped to xi
+    # a tile at a time into one reused array.
+    values = np.empty(n)
+    for idx, lam in enumerate(lambdas):
+        _map_rows(
+            make_generator(_subseed(seed, 300 + idx)),
+            1,
+            values,
+            lambda draws, dst: np.copyto(dst, xi(_scaled_abs(draws[:, 0], lam))),
         )
-    if trials != 0:
-        n = 1_000_000 if trials is None else trials
-        # n draws of one scale at a time as n rows of one, mapped to xi
-        # a tile at a time into one reused array.
-        values = np.empty(n)
-        for idx, lam in enumerate(lambdas):
-            _map_rows(
-                make_generator(_subseed(seed, 300 + idx)),
-                1,
-                values,
-                lambda draws, dst: np.copyto(dst, xi(_scaled_abs(draws[:, 0], lam))),
+        for t in t_grid[lam]:
+            if not _in_validity(lam, t):
+                continue
+            bound = xi_tail_bound(lam, t)
+            frequency = float(np.mean(values > t))
+            se = math.sqrt(bound * (1.0 - bound) / n)
+            yield _bound_case(
+                f"MC tail lambda={lam:g} t={t:.4g} (n={n})", frequency, bound, 3.0 * se
             )
-            for t in t_grid[lam]:
-                if not _in_validity(lam, t):
-                    continue
-                bound = xi_tail_bound(lam, t)
-                frequency = float(np.mean(values > t))
-                se = math.sqrt(bound * (1.0 - bound) / n)
-                cases.append(
-                    _bound_case(
-                        f"MC tail lambda={lam:g} t={t:.4g} (n={n})", frequency, bound, 3.0 * se
-                    )
-                )
-        for jdx, (lam, u) in enumerate(((0.5, 0.1), (0.5, 0.4), (1.0, 0.1), (1.0, 0.4))):
-            _map_rows(
-                make_generator(_subseed(seed, 400 + jdx)),
-                1,
-                values,
-                lambda draws, dst: _mgf_split(xi(_scaled_abs(draws[:, 0], lam)), u, dst),
-            )
-            # the bits of np.std(values), squaring the deviations in place
-            # instead of in a second array of n
-            mean = np.mean(values)
-            values -= mean
-            np.square(values, out=values)
-            se = math.sqrt(values.sum() / n) / math.sqrt(n)
-            cases.append(
-                _bound_case(
-                    f"MGF splitting lambda={lam:g} u={u:g} (n={n})", float(mean), 0.0, 3.0 * se
-                )
-            )
-        # Open case: upper tail below 8 eps^2, measured but never gated.
-        eps = 0.25
-        trial = run_concentration_trial(0.25, eps, 2000, 500, _subseed(seed, 500))
-        cases.append(
-            _bound_case(
-                f"unproven upper tail lambda=0.25 eps={eps} k=2000 exit fraction",
-                trial.fail_upper / trial.trials,
-                1.0,
-                0.0,
-                gated=False,
-            )
+    for jdx, (lam, u) in enumerate(((0.5, 0.1), (0.5, 0.4), (1.0, 0.1), (1.0, 0.4))):
+        _map_rows(
+            make_generator(_subseed(seed, 400 + jdx)),
+            1,
+            values,
+            lambda draws, dst: _mgf_split(xi(_scaled_abs(draws[:, 0], lam)), u, dst),
         )
-    return VerificationReport(suite="tails", cases=cases, rng=seed)
+        # the bits of np.std(values), squaring the deviations in place
+        # instead of in a second array of n
+        mean = np.mean(values)
+        values -= mean
+        np.square(values, out=values)
+        se = math.sqrt(values.sum() / n) / math.sqrt(n)
+        yield _bound_case(
+            f"MGF splitting lambda={lam:g} u={u:g} (n={n})", float(mean), 0.0, 3.0 * se
+        )
+    # Open case: upper tail below 8 eps^2, measured but never gated; its
+    # 500 trials at k = 2000 do not follow n.
+    eps = 0.25
+    trial = run_concentration_trial(0.25, eps, 2000, 500, _subseed(seed, 500))
+    yield _bound_case(
+        f"unproven upper tail lambda=0.25 eps={eps} k=2000 exit fraction",
+        trial.fail_upper / trial.trials,
+        1.0,
+        0.0,
+        gated=False,
+    )
 
 
 def _mgf_split(y: np.ndarray, u: float, out: np.ndarray) -> None:
@@ -659,81 +618,69 @@ def _in_validity(lam: float, t: float) -> bool:
     return t >= 2.0 or t >= 2.0 * math.log1p(math.sqrt(lam))
 
 
-def _suite_maxbound(seed: RngSeed, trials: int | None) -> VerificationReport:
-    cases = []
-    cases.append(_det_case("H(1) = 0", h_rate(1.0), 0.0, 1e-15))
-    cases.append(_det_case("H(e)/e = 1/e", h_rate(math.e) / math.e, 1.0 / math.e, 1e-15))
+def _suite_maxbound(seed: RngSeed, n: int = 10_000):
+    yield _det_case("H(1) = 0", h_rate(1.0), 0.0, 1e-15)
+    yield _det_case("H(e)/e = 1/e", h_rate(math.e) / math.e, 1.0 / math.e, 1e-15)
     for delta in (1e-2, 1e-6):
         c_k = math.e / delta
         lhs = math.exp(-h_rate(c_k) / c_k)
         rhs = delta * math.exp(-delta / math.e)
-        cases.append(
-            _det_case(f"exceedance closed form at delta={delta:g}", lhs, rhs, 1e-12 * delta)
+        yield _det_case(f"exceedance closed form at delta={delta:g}", lhs, rhs, 1e-12 * delta)
+    if not n:
+        return
+    yield verify_max_bound(100, 1.0, 0.01, n, _subseed(seed, 600))
+    yield verify_max_bound(1000, 1.0, 0.001, n, _subseed(seed, 601))
+    # the delta = 1 bound cannot fail, so its trials stop at 1000
+    yield verify_max_bound(10, 2.0, 1.0, min(n, 1000), _subseed(seed, 602))
+
+
+def _suite_concentration(seed: RngSeed, n: int = 1000):
+    if not n:
+        return
+    for idx, (lam, k) in enumerate(((2.0, 4000), (0.1, 8000))):
+        trial = run_concentration_trial(lam, 0.25, k, n, _subseed(seed, 700 + idx))
+        yield _bound_case(
+            f"band exits lambda={lam:g} eps=0.25 k={k} (trials={n})",
+            trial.fail_fraction,
+            0.01,
+            0.0,
         )
-    if trials != 0:
-        n = 10_000 if trials is None else trials
-        cases.append(verify_max_bound(100, 1.0, 0.01, n, _subseed(seed, 600)))
-        cases.append(verify_max_bound(1000, 1.0, 0.001, n, _subseed(seed, 601)))
-        cases.append(verify_max_bound(10, 2.0, 1.0, min(n, 1000), _subseed(seed, 602)))
-    return VerificationReport(suite="maxbound", cases=cases, rng=seed)
+    degenerate = run_concentration_trial(1.0, 0.25, 1, n, _subseed(seed, 702))
+    yield _bound_case(
+        "degenerate k=1 exit fraction (informational)",
+        degenerate.fail_fraction,
+        1.0,
+        0.0,
+        gated=False,
+    )
 
 
-def _suite_concentration(seed: RngSeed, trials: int | None) -> VerificationReport:
-    cases = []
-    if trials != 0:
-        n = 1000 if trials is None else trials
-        for idx, (lam, k) in enumerate(((2.0, 4000), (0.1, 8000))):
-            trial = run_concentration_trial(lam, 0.25, k, n, _subseed(seed, 700 + idx))
-            cases.append(
-                _bound_case(
-                    f"band exits lambda={lam:g} eps=0.25 k={k} (trials={n})",
-                    trial.fail_fraction,
-                    0.01,
-                    0.0,
-                )
-            )
-        degenerate = run_concentration_trial(1.0, 0.25, 1, n, _subseed(seed, 702))
-        cases.append(
-            _bound_case(
-                "degenerate k=1 exit fraction (informational)",
-                degenerate.fail_fraction,
-                1.0,
-                0.0,
-                gated=False,
-            )
+def _suite_planner(seed: RngSeed, n: int = 1000):
+    if not n:
+        return
+    planned = plan_dimension_for_delta(0.25, 0.01).k
+    for idx, lam in enumerate((2.0, 0.1)):
+        found = empirical_k_search(lam, 0.25, 0.01, _subseed(seed, 800 + idx), trials=n)
+        yield _bound_case(
+            f"planner dominates empirical k at lambda={lam:g} eps=0.25",
+            float(found),
+            float(planned),
+            0.0,
         )
-    return VerificationReport(suite="concentration", cases=cases, rng=seed)
+    tight = empirical_k_search(2.0, 0.125, 0.01, _subseed(seed, 802), trials=n)
+    loose = empirical_k_search(2.0, 0.25, 0.01, _subseed(seed, 803), trials=n)
+    yield _bound_case(
+        "monotonicity: k(eps=0.25) <= k(eps=0.125) (informational)",
+        float(loose),
+        float(tight),
+        0.0,
+        gated=False,
+    )
 
 
-def _suite_planner(seed: RngSeed, trials: int | None) -> VerificationReport:
-    cases = []
-    if trials != 0:
-        n = 1000 if trials is None else trials
-        for idx, lam in enumerate((2.0, 0.1)):
-            found = empirical_k_search(lam, 0.25, 0.01, _subseed(seed, 800 + idx), trials=n)
-            planned = plan_dimension_for_delta(0.25, 0.01).k
-            cases.append(
-                _bound_case(
-                    f"planner dominates empirical k at lambda={lam:g} eps=0.25",
-                    float(found),
-                    float(planned),
-                    0.0,
-                )
-            )
-        tight = empirical_k_search(2.0, 0.125, 0.01, _subseed(seed, 802), trials=n)
-        loose = empirical_k_search(2.0, 0.25, 0.01, _subseed(seed, 803), trials=n)
-        cases.append(
-            _bound_case(
-                "monotonicity: k(eps=0.25) <= k(eps=0.125) (informational)",
-                float(loose),
-                float(tight),
-                0.0,
-                gated=False,
-            )
-        )
-    return VerificationReport(suite="planner", cases=cases, rng=seed)
-
-
+# Each suite is a generator of report cases. Its n is its Monte Carlo size
+# (specfun and moments have none), and n = 0 yields only the
+# deterministic cases; run_suite sizes, times and reports it.
 SUITES = {
     "specfun": _suite_specfun,
     "moments": _suite_moments,
@@ -746,13 +693,12 @@ SUITES = {
 
 
 def run_suite(name: str, seed: RngSeed, trials: int | None = None) -> VerificationReport:
-    """Run one named suite. trials=None takes each suite's default size;
-    trials=0 runs only the deterministic cases."""
+    """Run one named suite and time it. trials=None takes the suite's
+    default size; trials=0 runs only the deterministic cases."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    if trials is not None:
-        trials = _check_count("trials", trials, 0)
+    sizes = () if trials is None else (_check_count("trials", trials, 0),)
     start = time.perf_counter()
-    report = SUITES[name](seed, trials)
-    report.runtime_ms = int((time.perf_counter() - start) * 1000)
-    return report
+    cases = list(SUITES[name](seed, *sizes))
+    runtime_ms = int((time.perf_counter() - start) * 1000)
+    return VerificationReport(suite=name, cases=cases, rng=seed, runtime_ms=runtime_ms)

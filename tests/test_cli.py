@@ -397,6 +397,14 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self):
         assert main(["verify", "--suite", "astrology"]) == 2
 
+    def test_out_of_memory_exits_2(self, capsys):
+        # 10^18 trial means need 6.9 EiB, more than any address space, so
+        # the allocation fails at once and touches nothing
+        assert main(["verify", "--suite", "concentration", "--trials", str(10**18)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_gated_failure_exits_1(self, capsys):
         # seed 0 at 2000 trials puts one KS statistic just over its
         # critical value; a deterministic stand-in for a genuine failure

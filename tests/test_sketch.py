@@ -248,6 +248,13 @@ class TestRegimeTag:
         with pytest.raises(ValueError):
             regime_tag(1.0, 0.3, 1e-12)
 
+    def test_lambda0_must_be_finite_and_nonnegative(self):
+        for lambda0 in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError):
+                regime_tag(1e-3, 0.25, lambda0)
+        # a plan's lambda0 can underflow to 0, which stays valid
+        assert regime_tag(0.0, 0.25, 0.0) == "really-small"
+
 
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):

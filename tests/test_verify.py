@@ -477,6 +477,30 @@ class TestSuites:
         assert deterministic.gated_pass
 
     @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_trials_zero_is_the_deterministic_prefix(self, name):
+        # --trials 0 yields exactly the cases every size yields before its
+        # Monte Carlo ones
+        deterministic = run_suite(name, SEED, trials=0).to_jsonl_lines()[:-1]
+        sampled = run_suite(name, SEED, trials=200).to_jsonl_lines()[:-1]
+        assert deterministic == sampled[: len(deterministic)]
+
+    @pytest.mark.parametrize(
+        "name, size",
+        [
+            ("specfun", 0),
+            ("moments", 0),
+            ("stability", 100_000),
+            ("tails", 1_000_000),
+            ("maxbound", 10_000),
+            ("concentration", 1000),
+            ("planner", 1000),
+        ],
+    )
+    def test_default_size(self, name, size):
+        default = run_suite(name, SEED).to_jsonl_lines()
+        assert run_suite(name, SEED, trials=size).to_jsonl_lines() == default
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
     def test_all_suites_pass_at_reduced_size(self, name):
         # full-size runs live in the acceptance tests; this keeps every
         # suite body exercised quickly
