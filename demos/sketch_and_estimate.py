@@ -1,8 +1,8 @@
 """Sketch a small dataset and recover its l1 distances.
 
 Projects a handful of points through a seeded Cauchy matrix in one
-product, averages the nonlinear coordinate map over pairs of sketch rows
-to get rho (each row against all later rows at once), then inverts the
+product, averages the nonlinear coordinate map over every pair of sketch
+rows to get rho (rho_pairs, in one call), then inverts the
 calibration curve to estimate each true l1 distance. At desk-scale k
 the estimates land within a few percent; the planner's k for eps = 0.25
 would be far larger because it must also survive a union bound over all
@@ -11,7 +11,7 @@ pairs.
 
 import numpy as np
 
-from cauchysketch import RngSeed, mu_inverse, rho, sketch_dataset
+from cauchysketch import RngSeed, mu_inverse, rho_pairs, sketch_dataset
 
 rng = np.random.default_rng(7)
 points = rng.uniform(-3.0, 3.0, size=(6, 40))
@@ -23,15 +23,15 @@ print(f"sketched down to k = {k} coordinates per point: one {sketched.shape} arr
 print()
 
 print(f"{'pair':>6} {'true l1':>9} {'estimate':>9} {'rel err':>8}")
+# one estimate per pair i < j, in row-major order
+estimates = mu_inverse(rho_pairs(sketched)).tolist()
+pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
 worst = 0.0
-for i in range(len(sketched) - 1):
-    # row i against rows i+1.. in one call each: one estimate per pair
-    estimates = mu_inverse(rho(sketched[i + 1 :], sketched[i]))
-    for j, estimate in enumerate(estimates.tolist(), start=i + 1):
-        truth = float(np.sum(np.abs(points[i] - points[j])))
-        rel = abs(estimate - truth) / truth
-        worst = max(worst, rel)
-        print(f"({i},{j}) {truth:>9.3f} {estimate:>9.3f} {rel:>8.2%}")
+for (i, j), estimate in zip(pairs, estimates):
+    truth = float(np.sum(np.abs(points[i] - points[j])))
+    rel = abs(estimate - truth) / truth
+    worst = max(worst, rel)
+    print(f"({i},{j}) {truth:>9.3f} {estimate:>9.3f} {rel:>8.2%}")
 print()
 print(f"worst relative error across all pairs: {worst:.2%}")
 

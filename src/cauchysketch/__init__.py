@@ -15,7 +15,7 @@ bounds, oracles and helpers behind it live in the submodules.
 
 from .cauchy import RngSeed
 from .concentration import InfeasibleParameterError, max_abs_plan, plan_dimension
-from .metric import rho, xi
+from .metric import rho, rho_pairs, xi
 from .moments import mu, mu_inverse
 from .sketch import (
     DatasetFormatError,
@@ -28,7 +28,7 @@ from .sketch import (
 )
 from .verify import SUITES, run_suite
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "__version__",
@@ -44,6 +44,7 @@ __all__ = [
     "write_binary_matrix",
     "xi",
     "rho",
+    "rho_pairs",
     "mu",
     "mu_inverse",
     "regime_tag",

@@ -23,12 +23,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .cauchy import GENERATOR_NAME, _TILE, RngSeed, _in_two_lanes, _lanes
+from .cauchy import GENERATOR_NAME, RngSeed
 from .concentration import max_abs_plan, plan_dimension
-from .metric import rho
+from .metric import rho_pairs
 from .moments import mu_inverse
 from .sketch import (
     DatasetFormatError,
@@ -141,27 +139,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise DatasetFormatError(
             f"sketch shape {coords.shape} does not match metadata (n_points={n}, k={k})"
         )
-    # Row i against rows i+1.. in blocks of at most _TILE differences, one xi
-    # tile per rho call (at 16K, two lanes ran slower than one: per-call Python
-    # work under the GIL dominated). Pairs (i, j) of rows i in `rows` fill
-    # their own slice of rhos, so two lanes can share it.
-    block_rows = max(1, _TILE // k)
-    rhos = np.empty(n * (n - 1) // 2)
-
-    def fill(rows: range) -> None:
-        done = rows.start * (2 * n - 1 - rows.start) // 2
-        for i in rows:
-            for j in range(i + 1, n, block_rows):
-                block = rho(coords[j : j + block_rows], coords[i])
-                rhos[done : done + block.size] = block
-                done += block.size
-
-    if _lanes(rhos.size * k) == 1:
-        fill(range(n - 1))
-    else:
-        # The first row whose pairs start at or past half the pairs.
-        cut = next(i for i in range(n) if i * (2 * n - 1 - i) >= rhos.size)
-        _in_two_lanes(lambda: fill(range(cut)), lambda: fill(range(cut, n - 1)))
+    rhos = rho_pairs(coords)
     estimates = mu_inverse(rhos)
     tags = regime_tag(estimates, epsilon, lambda0)
     table = _pair_table(n, rhos, estimates, tags)

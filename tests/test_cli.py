@@ -387,6 +387,34 @@ class TestEstimateLanes:
         assert "rho needs rows whose differences are finite" in capsys.readouterr().err
 
 
+class TestEstimateBytes:
+    """The estimate table of a fixed sketch keeps the bytes 0.15.0 wrote."""
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_table_bytes_are_frozen(self, tmp_path, monkeypatch, lanes):
+        # The sketch is written directly, so no projection product (and no
+        # BLAS) enters. At k = 5000 a block of 13 rows ends inside a row's
+        # pairs, 4,950 pairs take two lanes, and the row scales give all
+        # four tags. The coordinates are exact multiples of powers of two.
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        rng = np.random.default_rng(16)
+        scales = np.repeat(2.0 ** np.array([-43, -6, 1, 4]), 25)[:, None]
+        coords = rng.integers(-2**40, 2**40, (100, 5000)) * 2.0**-40 * scales
+        sk, out = str(tmp_path / "sk.bin"), tmp_path / "pairs.csv"
+        write_binary_matrix(sk, coords)
+        with open(sk + ".json", "w") as handle:
+            json.dump({"k": 5000, "n_points": 100, "epsilon": 0.25, "c": 3.0}, handle)
+        assert cauchy_module._lanes(4950 * 5000) == lanes
+        assert main(["estimate", "--input", sk, "--output", str(out)]) == 0
+        table = out.read_bytes()
+        assert {line.split(b",")[-1] for line in table.splitlines()[1:]} == {
+            b"large", b"small", b"really-small", b"unproven-upper"
+        }
+        assert hashlib.sha256(table).hexdigest() == (
+            "d20a9866be96b3811217bee36f65192059f277b7f8342b18c2e0288b39d5a27c"
+        )
+
+
 class TestVerifyCommand:
     def test_single_suite_pass(self, capsys):
         assert main(["verify", "--suite", "specfun"]) == 0

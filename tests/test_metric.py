@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import cauchysketch.cauchy as cauchy_module
 import cauchysketch.metric as metric_module
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
-from cauchysketch.metric import rho, xi, xi_small_envelope
+from cauchysketch.metric import rho, rho_pairs, xi, xi_small_envelope
 from cauchysketch.moments import mu_inverse
 from cauchysketch.sketch import sketch_dataset
 
@@ -273,3 +273,89 @@ class TestRhoOfStack:
         stack, v = case
         estimates = mu_inverse(rho(stack, v))
         assert ((estimates == 0.0) == (stack == v).all(axis=1)).all()
+
+
+def _cauchy_coords(n: int, k: int) -> np.ndarray:
+    rng = make_generator(RngSeed(20240817, 31))
+    return sample_standard_cauchy(rng, n * k).reshape(n, k)
+
+
+# Bytes a rho_pairs lane or a rho call may hold: its two scratch tiles and
+# the 8192-element buffer numpy's ufunc machinery allocates for a
+# subtraction that broadcasts v over rows shorter than that buffer.
+def _lane_bytes(k: int) -> int:
+    return (2 * max(metric_module._TILE, k) + np.getbufsize()) * 8
+
+
+# Array headers, views and a lane's thread.
+_OBJECTS = 16_384
+
+
+class TestRhoPairs:
+    """rho_pairs(coords) is rho of every pair i < j of rows, row-major."""
+
+    @pytest.mark.parametrize("k", [1, 5000, 2**16 + 3])
+    @pytest.mark.parametrize("n", [2, 3, 70])
+    def test_same_bits_as_pair_calls(self, monkeypatch, n, k):
+        # At k = 5000 a block of 13 rows ends inside a row's pairs; past
+        # k = 2^16 a block is one row. At n = 70 and k >= 5000 two lanes
+        # run when the program may use them.
+        coords = _cauchy_coords(n, k)
+        reference = np.array([rho(coords[j], coords[i]) for i in range(n) for j in range(i + 1, n)])
+        for lanes in (1, 2):
+            monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+            values = rho_pairs(coords)
+            assert values.shape == (n * (n - 1) // 2,)
+            assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_overflow_in_second_lane_rows_raises(self, monkeypatch, lanes):
+        # 4,950 pairs x k = 64 take two lanes, and the second lane takes
+        # rows i from 30 on; only the pair (98, 99) overflows.
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        coords = _cauchy_coords(100, 64)
+        coords[98, 0], coords[99, 0] = 1e308, -1e308
+        assert cauchy_module._lanes(4950 * 64) == lanes
+        with pytest.raises(ValueError, match="rho needs rows whose differences are finite"):
+            rho_pairs(coords)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [np.zeros(4), np.zeros((2, 2, 2)), np.zeros((1, 4)), np.zeros((0, 4)), np.zeros((3, 0))],
+        ids=["1-d", "3-d", "one row", "no rows", "empty rows"],
+    )
+    def test_rejects_shapes(self, coords):
+        with pytest.raises(ValueError, match="rho_pairs needs an"):
+            rho_pairs(coords)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_coordinates(self, bad):
+        coords = _cauchy_coords(5, 3)
+        coords[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rho_pairs(coords)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("n, k", [(2, 5000), (70, 5000), (400, 64), (5, 2**16 + 3)])
+    def test_holds_output_and_two_tiles_per_lane(self, monkeypatch, lanes, n, k):
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        coords = _cauchy_coords(n, k)
+        used = cauchy_module._lanes(n * (n - 1) // 2 * k)
+        tracemalloc.start()
+        try:
+            values = rho_pairs(coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + used * _lane_bytes(k) + _OBJECTS
+
+    def test_stack_holds_its_values_and_two_tiles(self):
+        # rho(U, v) holds no (m, k) array of differences.
+        coords = _cauchy_coords(1000, 1000)
+        tracemalloc.start()
+        try:
+            values = rho(coords[1:], coords[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + _lane_bytes(1000) + _OBJECTS

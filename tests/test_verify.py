@@ -258,6 +258,9 @@ class TestEmpiricalKSearch:
         # count per column; the draws come a tile per lane at a time.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
         trials = 1000
+        # The first generator of a process imports numpy.random (about
+        # 0.7 MB under tracemalloc), which is not the search's memory.
+        make_generator(SEED)
         tracemalloc.start()
         try:
             k = empirical_k_search(2.0, 0.125, 0.01, SEED, trials=trials)
