@@ -12,7 +12,7 @@ import numpy as np
 
 from cauchysketch.metric import xi
 from cauchysketch.moments import expected_log1p, mu, mu_inverse, mu_small_envelope
-from cauchysketch.verify import quadrature_mean
+from cauchysketch.quadrature import quadrature_mean
 
 print("mu across thirteen decades, checked against adaptive quadrature:")
 print(f"{'lambda':>9} {'mu':>12} {'quadrature':>14} {'|diff|':>9}")

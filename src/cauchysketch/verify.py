@@ -1,28 +1,17 @@
-"""Independent oracles and experiment drivers for every closed form.
+"""Verification suites and Monte Carlo drivers for every closed form.
 
-The quadrature oracle evaluates E g(lambda |X|) for X standard Cauchy by
-splitting at 1 and inverting the outer leg:
-
-    E g(lambda |X|) = (2/pi) [ int_0^1 g(lambda x)/(1+x^2) dx
-                             + int_0^1 g(lambda/u)/(1+u^2) du ].
-
-Both legs get geometric panels piled toward 0 before adaptive refinement:
-g = xi has a square-root cusp at the origin, the inverted leg grows like
-ln(1/u), and plain polynomial quadrature on [0, 1] loses seven digits on
-the cusp. Panels use the Gauss-7/Kronrod-15 pair; the Kronrod value is
-the estimate and the difference to the embedded Gauss value the error.
-
-The rest of the module is Monte Carlo: concentration trials, empirical
-dimension search (common random numbers across candidate k), max-of-iid
-threshold checks, and named suites gathering one oracle comparison per
-closed form. Statistical gates pass at bound + 3 standard errors; the
-upper tail below 8 eps^2 is measured but never gated (no proven bound
+Named suites gather one oracle comparison per closed form. The moment
+formulas are checked against the adaptive Gauss-Kronrod oracle of
+`quadrature`, one call per integrand over every scale a suite checks it
+at. The rest is Monte Carlo: concentration trials, empirical dimension
+search (common random numbers across candidate k) and max-of-iid
+threshold checks. Statistical gates pass at bound + 3 standard errors;
+the upper tail below 8 eps^2 is measured but never gated (no proven bound
 exists there). Everything is deterministic given (seed, trials).
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import threading
@@ -62,11 +51,10 @@ from .moments import (
     second_moment_ratio_bound,
     second_moment_upper,
 )
+from .quadrature import _unit_integrals, quadrature_mean
 from .specfun import atanh_add_arg, atanh_eval, ti2
 
 __all__ = [
-    "QuadratureError",
-    "quadrature_mean",
     "VerificationReport",
     "ConcentrationTrial",
     "run_concentration_trial",
@@ -76,125 +64,12 @@ __all__ = [
     "run_suite",
 ]
 
-# Gauss-7 / Kronrod-15 pair on [-1, 1], to the digits of QUADPACK's
-# dqk15 (rounded to float64 as read): Kronrod nodes by descending
-# magnitude; the odd-indexed ones carry the embedded Gauss rule.
-_KRONROD_NODES = np.array(
-    [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144845693013,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-        0.0,
-    ]
-)
-_KRONROD_WEIGHTS = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-        0.209482141084727828012999174891714,
-    ]
-)
-_GAUSS_WEIGHTS = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-        0.417959183673469387755102040816327,
-    ]
-)
-
-_NODES = np.concatenate([-_KRONROD_NODES[:-1], _KRONROD_NODES[::-1]])
-_W_KRONROD = np.concatenate([_KRONROD_WEIGHTS[:-1], _KRONROD_WEIGHTS[::-1]])
-_W_GAUSS = np.zeros_like(_W_KRONROD)
-_W_GAUSS[1::2] = np.concatenate([_GAUSS_WEIGHTS[:-1], _GAUSS_WEIGHTS[::-1]])
-
-# Geometric ladder 1, 1/2, ..., 2^-48 resolving the origin on both legs.
-_LADDER_DEPTH = 48
-_PANEL_BUDGET = 4096
 # Largest k empirical_k_search tries before giving up.
 _K_LIMIT = 32768
 
 
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the tolerance within budget."""
-
-
-def _panels(f, a, b) -> list[tuple[float, float]]:
-    # (Kronrod value, error estimate) of f over each panel [a[i], b[i]],
-    # from one call of f on all their nodes; each row is reduced alone,
-    # so a panel's numbers do not depend on the panels beside it.
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    half = 0.5 * (b - a)
-    ys = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES)
-    results = []
-    for h, row in zip(half.tolist(), ys):
-        kronrod = h * float(_W_KRONROD @ row)
-        gauss = h * float(_W_GAUSS @ row)
-        results.append((kronrod, abs(kronrod - gauss)))
-    return results
-
-
-def _adaptive_unit(f, tol: float) -> float:
-    """Integrate f over [0, 1], seeding panels geometrically toward 0."""
-    edges = [0.0] + [2.0**-j for j in range(_LADDER_DEPTH, -1, -1)]
-    heap = []
-    total = 0.0
-    err = 0.0
-    count = 0
-    for a, b, (value, e) in zip(edges[:-1], edges[1:], _panels(f, edges[:-1], edges[1:])):
-        total += value
-        err += e
-        heapq.heappush(heap, (-e, count, a, b, value))
-        count += 1
-    while err > tol:
-        if count > _PANEL_BUDGET:
-            raise QuadratureError(
-                f"no convergence within {_PANEL_BUDGET} panels (err={err:.3e}, tol={tol:.3e})"
-            )
-        neg_e, _, a, b, value = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        (left, e_left), (right, e_right) = _panels(f, (a, mid), (mid, b))
-        total += left + right - value
-        err += e_left + e_right + neg_e
-        heapq.heappush(heap, (-e_left, count, a, mid, left))
-        heapq.heappush(heap, (-e_right, count + 1, mid, b, right))
-        count += 2
-    return total
-
-
 def _xi_squared(a: np.ndarray) -> np.ndarray:
     return np.square(xi(a))
-
-
-def quadrature_mean(g, lam: float) -> float:
-    """E g(lambda |X|) by adaptive split-and-invert quadrature.
-
-    g is the integrand, a function of a float64 array applied elementwise
-    (xi, np.log1p, _xi_squared, or any parameterised one such as
-    lambda a: np.power(a, u)). The estimated error of the result is at
-    most 1e-12. This oracle shares no code with the closed forms it is
-    used to check.
-    """
-    lam = _check_lambda(lam, positive=True)
-
-    def inner(x):
-        return g(lam * x) / (1.0 + x * x)
-
-    def outer(u):
-        return g(lam / u) / (1.0 + u * u)
-
-    # each leg gets half the 1e-12 error bound
-    return 2.0 / math.pi * (_adaptive_unit(inner, 0.5e-12) + _adaptive_unit(outer, 0.5e-12))
 
 
 @dataclass(frozen=True)
@@ -441,57 +316,65 @@ def _suite_specfun(seed: RngSeed, n: int = 0):
 
     # Ti_2(x) = int_0^1 arctan(x s)/s ds; Kronrod nodes are interior, so
     # s = 0 is never evaluated.
-    for x in (0.5, 2.0, 10.0, 100.0):
-        quadrature = _adaptive_unit(lambda s: np.arctan(x * s) / s, 1e-13)
+    xs = (0.5, 2.0, 10.0, 100.0)
+    integrals = _unit_integrals(lambda x, s: np.arctan(x * s) / s, xs, 1e-13, "x")
+    for x, quadrature in zip(xs, integrals):
         yield _det_case(f"ti2 vs quadrature at x={x:g}", ti2(x), quadrature, 1e-12)
 
     yield _det_case("ti2(1) against its known value", ti2(1.0), 0.9159655941772190, 1e-13)
+
+
+def _oracle_at(g, lams: list) -> dict:
+    # quadrature_mean of g at each scale in lams, keyed by scale, from one
+    # call over all of them
+    return dict(zip(lams, quadrature_mean(g, np.array(lams)).tolist()))
 
 
 def _suite_moments(seed: RngSeed, n: int = 0):
     decades = [10.0**j for j in range(-4, 5)]
     rng = make_generator(_subseed(seed, 101))
     randoms = [float(v) for v in np.exp(rng.uniform(math.log(1e-4), math.log(1e4), size=50))]
+    ratio_scales = [float(lam) for lam in np.linspace(0.05, 2.0, 16)]
+    envelope_scales = [1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0]
+    mean_xi = _oracle_at(xi, decades + randoms + envelope_scales)
+    mean_log1p = _oracle_at(np.log1p, decades + randoms)
+    second = _oracle_at(_xi_squared, decades + ratio_scales)
 
     for lam in decades:
-        yield _det_case(
-            f"mu vs quadrature at lambda={lam:g}", mu(lam), quadrature_mean(xi, lam), 1e-9
-        )
+        yield _det_case(f"mu vs quadrature at lambda={lam:g}", mu(lam), mean_xi[lam], 1e-9)
         yield _det_case(
             f"expected_log1p vs quadrature at lambda={lam:g}",
             expected_log1p(lam),
-            quadrature_mean(np.log1p, lam),
+            mean_log1p[lam],
             1e-8,
         )
-    worst_mu = max(abs(mu(lam) - quadrature_mean(xi, lam)) for lam in randoms)
-    worst_log = max(abs(expected_log1p(lam) - quadrature_mean(np.log1p, lam)) for lam in randoms)
+    worst_mu = max(abs(mu(lam) - mean_xi[lam]) for lam in randoms)
+    worst_log = max(abs(expected_log1p(lam) - mean_log1p[lam]) for lam in randoms)
     yield _bound_case("mu vs quadrature, 50 random scales", worst_mu, 0.0, 1e-9)
     yield _bound_case("expected_log1p vs quadrature, 50 random scales", worst_log, 0.0, 1e-8)
 
     half_pi_sq = math.pi * math.pi / 2.0
     for lam in decades:
-        second = quadrature_mean(_xi_squared, lam)
         yield _bound_case(
-            f"variance bound at lambda={lam:g}", second - mu(lam) ** 2, half_pi_sq, 1e-9
+            f"variance bound at lambda={lam:g}", second[lam] - mu(lam) ** 2, half_pi_sq, 1e-9
         )
         yield _bound_case(
             f"second moment below closed-form bound at lambda={lam:g}",
-            second,
+            second[lam],
             second_moment_upper(lam),
             1e-9,
         )
-    for lam in np.linspace(0.05, 2.0, 16):
-        lam = float(lam)
+    for lam in ratio_scales:
         yield _bound_case(
             f"second-moment ratio bound at lambda={lam:g}",
-            quadrature_mean(_xi_squared, lam) / lam,
+            second[lam] / lam,
             second_moment_ratio_bound(lam),
             1e-9,
         )
 
-    for lam in (1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0):
+    for lam in envelope_scales:
         low, high = mu_small_envelope(lam)
-        value = quadrature_mean(xi, lam)
+        value = mean_xi[lam]
         yield {
             "case": f"mu small-scale envelope at lambda={lam:g}",
             "closed_form": high,

@@ -28,10 +28,10 @@ from cauchysketch.concentration import (
 )
 from cauchysketch.metric import rho, xi, xi_small_envelope
 from cauchysketch.moments import expected_log1p, mu, mu_inverse, second_moment_ratio_bound
+from cauchysketch.quadrature import quadrature_mean
 from cauchysketch.specfun import ti2
 from cauchysketch.verify import (
     empirical_k_search,
-    quadrature_mean,
     run_concentration_trial,
     verify_max_bound,
 )

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cauchysketch.cauchy as cauchy_module
+import cauchysketch.quadrature as quadrature_module
 import cauchysketch.verify as verify_module
 from cauchysketch.cauchy import (
     RngSeed,
@@ -28,15 +29,14 @@ from cauchysketch.concentration import (
 )
 from cauchysketch.metric import xi
 from cauchysketch.moments import mu
+from cauchysketch.quadrature import QuadratureError, quadrature_mean
 from cauchysketch.specfun import ti2
 from cauchysketch.verify import (
     SUITES,
     ConcentrationTrial,
-    QuadratureError,
     VerificationReport,
     _xi_squared,
     empirical_k_search,
-    quadrature_mean,
     run_concentration_trial,
     run_suite,
     verify_max_bound,
@@ -106,24 +106,22 @@ class TestQuadratureOracle:
             quadrature_mean(xi, math.inf)
 
     def test_budget_exhaustion(self, monkeypatch):
-        import cauchysketch.verify as verify_mod
-
-        monkeypatch.setattr(verify_mod, "_PANEL_BUDGET", 8)
+        monkeypatch.setattr(quadrature_module, "_PANEL_BUDGET", 8)
         with pytest.raises(QuadratureError):
             quadrature_mean(_xi_squared, 1e6)
 
 
 def _panel_at_a_time(f, tol):
-    # _adaptive_unit with one call of f per panel: the reference for the
-    # batched ladder.
+    # One integral of f over [0, 1] with one call of f per panel: the
+    # reference for the batched ladder and the lockstep engine.
     def panel(a, b):
         half = 0.5 * (b - a)
-        ys = f(0.5 * (a + b) + half * verify_module._NODES)
-        kronrod = half * float(verify_module._W_KRONROD @ ys)
-        gauss = half * float(verify_module._W_GAUSS @ ys)
+        ys = f(0.5 * (a + b) + half * quadrature_module._NODES)
+        kronrod = half * float(quadrature_module._W_KRONROD @ ys)
+        gauss = half * float(quadrature_module._W_GAUSS @ ys)
         return kronrod, abs(kronrod - gauss)
 
-    edges = [0.0] + [2.0**-j for j in range(verify_module._LADDER_DEPTH, -1, -1)]
+    edges = [0.0] + [2.0**-j for j in range(quadrature_module._LADDER_DEPTH, -1, -1)]
     heap, total, err, count = [], 0.0, 0.0, 0
     for a, b in zip(edges[:-1], edges[1:]):
         value, e = panel(a, b)
@@ -148,18 +146,20 @@ class TestKronrodRule:
 
     def test_gauss_rule_matches_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(7)
-        gauss_nodes = verify_module._KRONROD_NODES[1::2]
+        gauss_nodes = quadrature_module._KRONROD_NODES[1::2]
         assert np.all(np.abs(gauss_nodes - nodes[::-1][:4]) <= 2 * np.spacing(nodes[::-1][:4]))
         # leggauss's own weights are up to 4.4 ulp from the exact ones.
         assert np.all(
-            np.abs(verify_module._GAUSS_WEIGHTS - weights[::-1][:4])
+            np.abs(quadrature_module._GAUSS_WEIGHTS - weights[::-1][:4])
             <= 5 * np.spacing(weights[::-1][:4])
         )
 
     def test_gauss_rule_is_correctly_rounded(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
-            for node, weight in zip(verify_module._KRONROD_NODES[1::2], verify_module._GAUSS_WEIGHTS):
+            for node, weight in zip(
+                quadrature_module._KRONROD_NODES[1::2], quadrature_module._GAUSS_WEIGHTS
+            ):
                 exact = mpmath.findroot(lambda x: mpmath.legendre(7, x), node)
                 slope = mpmath.diff(lambda x: mpmath.legendre(7, x), exact)
                 assert node == float(exact)
@@ -168,24 +168,31 @@ class TestKronrodRule:
     @pytest.mark.parametrize("j", range(23))
     def test_kronrod_rule_is_exact_to_degree_22(self, j):
         exact = 0.0 if j % 2 else 2.0 / (j + 1)
-        approx = float(verify_module._W_KRONROD @ verify_module._NODES**j)
+        approx = float(quadrature_module._W_KRONROD @ quadrature_module._NODES**j)
         assert abs(approx - exact) <= 1e-15
 
     def test_ti2_by_quadrature(self):
-        quadrature = verify_module._adaptive_unit(lambda s: np.arctan(100 * s) / s, 1e-13)
+        (quadrature,) = quadrature_module._unit_integrals(
+            lambda x, s: np.arctan(x * s) / s, [100.0], 1e-13, "x"
+        )
         assert abs(quadrature - ti2(100.0)) <= 2e-15
 
 
 @pytest.mark.parametrize("g", [xi, np.log1p, _xi_squared], ids=["xi", "log1p", "xi_squared"])
 def test_batched_ladder_keeps_every_bit(g):
-    # The 49 ladder panels in one integrand call give the bits of one call
-    # per panel, on both legs of quadrature_mean.
-    for j in range(-4, 5):
-        lam = 10.0**j
-        for f in (lambda x: g(lam * x) / (1.0 + x * x), lambda u: g(lam / u) / (1.0 + u * u)):
-            batched = np.float64(verify_module._adaptive_unit(f, 5e-13))
-            reference = np.float64(_panel_at_a_time(f, 5e-13))
-            assert batched.view(np.uint64) == reference.view(np.uint64)
+    # The 49 ladder panels of nine scales in one integrand call, and each
+    # refinement round of those still open in another, give every scale
+    # the bits of one call per panel, on both legs of quadrature_mean.
+    lams = [10.0**j for j in range(-4, 5)]
+    legs = (
+        lambda lam, x: g(lam * x) / (1.0 + x * x),
+        lambda lam, u: g(lam / u) / (1.0 + u * u),
+    )
+    for leg in legs:
+        batched = quadrature_module._unit_integrals(leg, lams, 5e-13, "lambda")
+        for lam, value in zip(lams, batched):
+            reference = _panel_at_a_time(lambda x: leg(lam, x), 5e-13)
+            assert np.float64(value).view(np.uint64) == np.float64(reference).view(np.uint64)
 
 
 class TestConcentrationDrivers:
