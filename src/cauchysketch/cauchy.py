@@ -49,9 +49,10 @@ GENERATOR_NAME = "pcg64-seedseq"
 _U64_MAX = 2**64 - 1
 
 
-# Threads the two loops that split work (the Monte Carlo row map and
-# metric.rho_pairs) run on: the CPUs this process may run on, at most 2.
-# Every loop writes the same bits at any lane count.
+# Threads the two loops that split work (the Monte Carlo row map, which
+# cuts its rows in two, and metric.rho_blocks, which cuts each block of
+# pairs at its middle pair) run on: the CPUs this process may run on, at
+# most 2. Every loop writes the same bits at any lane count.
 _LANES = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -75,8 +76,9 @@ def _in_two_lanes(first, second) -> None:
 
     numpy's ufuncs and Generator fills release the GIL, so two lanes over
     disjoint slices of one array use two CPUs. Lanes start only in the
-    Monte Carlo row map (_map_rows) and metric.rho_pairs, and no kernel
-    either one calls starts lanes, so lanes never nest.
+    Monte Carlo row map (_map_rows) and metric.rho_blocks, once per block
+    of pairs, and no kernel either one calls starts lanes, so lanes never
+    nest.
     """
     failure = []
 

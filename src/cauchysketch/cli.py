@@ -26,8 +26,8 @@ import sys
 from . import __version__
 from .cauchy import GENERATOR_NAME, RngSeed
 from .concentration import max_abs_plan, plan_dimension
-from .metric import rho_pairs
-from .moments import mu_inverse
+from .metric import _rho_bound, _row_segments, rho_blocks
+from .moments import _MU_MAX, mu_inverse
 from .sketch import (
     DatasetFormatError,
     read_binary_matrix,
@@ -139,30 +139,36 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise DatasetFormatError(
             f"sketch shape {coords.shape} does not match metadata (n_points={n}, k={k})"
         )
-    rhos = rho_pairs(coords)
-    estimates = mu_inverse(rhos)
-    tags = regime_tag(estimates, epsilon, lambda0)
-    table = _pair_table(n, rhos, estimates, tags)
+    # The table is written a block at a time, so the data errors a block
+    # could raise are checked here, before its first byte: _rho_bound
+    # raises on a difference that is not finite, and bounds every pair's
+    # rho, which mu_inverse inverts up to _MU_MAX.
+    bound = _rho_bound(coords)
+    if bound > _MU_MAX:
+        raise ValueError(
+            f"rho of the column spreads is {bound!r}, above mu(float max) = {_MU_MAX!r}, "
+            "so a pair may have no finite estimate; rescale the sketch"
+        )
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as handle:
+        handle.write("i,j,rho,estimate,regime\n")
+        for i, j, rhos in rho_blocks(coords):
+            estimates = mu_inverse(rhos)
+            tags = regime_tag(estimates, epsilon, lambda0)
+            handle.writelines(_table_rows(n, i, j, rhos, estimates, tags))
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.writelines(table)
         print(f"wrote {n * (n - 1) // 2} pair estimates to {args.output}")
-    else:
-        sys.stdout.writelines(table)
     return 0
 
 
-def _pair_table(n, rhos, estimates, tags):
-    """The CSV pair table, one chunk per row i, from the pair arrays in
-    row-major i < j order; one chunk at a time holds its strings."""
-    yield "i,j,rho,estimate,regime\n"
+def _table_rows(n, i, j, rhos, estimates, tags):
+    """The CSV rows of a block of pairs from pair (i, j) on, in i < j
+    row-major order, one string per row segment; one segment at a time
+    holds its strings."""
     start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
+    for row, lo, hi in _row_segments(n, i, j, len(rhos)):
+        stop = start + hi - lo
         columns = (rhos[start:stop].tolist(), estimates[start:stop].tolist(), tags[start:stop].tolist())
-        yield "".join(
-            f"{i},{j},{r!r},{e!r},{tag}\n" for j, r, e, tag in zip(range(i + 1, n), *columns)
-        )
+        yield "".join(f"{row},{j},{r!r},{e!r},{tag}\n" for j, r, e, tag in zip(range(lo, hi), *columns))
         start = stop
 
 

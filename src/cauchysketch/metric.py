@@ -17,7 +17,15 @@ import numpy as np
 
 from .cauchy import _TILE, _in_two_lanes, _lanes
 
-__all__ = ["xi", "rho", "rho_pairs", "xi_small_envelope"]
+__all__ = ["xi", "rho", "rho_pairs", "rho_blocks", "xi_small_envelope"]
+
+# Pairs in one block of rho_blocks, and so in one block of the estimate
+# table: estimate holds the sketch and one block of rho values, estimates,
+# tags and table rows, whatever N is. plan, sketch and estimate of the
+# `pairs` shape (N = 200, k = 1024) in one fresh process peaked at
+# 40.3-40.4 MB ru_maxrss with 4,096, 40.1 MB with 1,024 and 42.3-42.6 MB
+# with 16,384, against 42.4 MB holding every pair (2-vCPU x86-64 VM).
+_BLOCK_PAIRS = 4096
 
 
 def xi(a):
@@ -87,35 +95,109 @@ def rho_pairs(coords) -> np.ndarray:
     (pair (0, 1) first, then (0, 2), ..., (N-2, N-1)), each with the bits
     of that single call. A difference that is not finite raises ValueError.
 
-    Row i is compared with rows i+1.. a block of _TILE // k rows (at least
-    one) at a time. From 2^18 differences on, with two CPUs, the rows i are
-    cut in two at half the pairs and the halves run on two threads, each
-    filling its own slice of the result. Each lane allocates its two
-    scratch tiles once, so besides coords the call holds the result and,
-    per lane, at most 2 max(_TILE, k) floats and numpy's ufunc buffer.
+    The values are filled block by block by rho_blocks, straight into the
+    result, so besides coords the call holds the result and, per lane, at
+    most 2 max(_TILE, k) floats and numpy's ufunc buffer.
     """
+    coords = _as_sketch(coords, "rho_pairs")
+    n = len(coords)
+    rhos = np.empty(n * (n - 1) // 2)
+    for _ in rho_blocks(coords, rhos):
+        pass
+    return rhos
+
+
+def rho_blocks(coords, out=None):
+    """rho of every pair of rows of an (N, k) sketch, N >= 2, in the order
+    and with the bits of rho_pairs, a block of at most _BLOCK_PAIRS pairs
+    at a time.
+
+    Yields (i, j, values) for each block: (i, j) is its first pair and
+    values the rho of its pairs. values is the block's slice of ``out``
+    when a float64 out of shape (N(N-1)/2,) is given, else a buffer of
+    at most _BLOCK_PAIRS floats that the next block overwrites. Blocks
+    start and end at any pair, inside a row or not; _row_segments walks
+    one. A difference that is not finite raises ValueError before its
+    block is yielded.
+
+    Each row segment of a block runs a stack of _TILE // k rows (at least
+    one) at a time. A block of 2^18 or more differences, with
+    two CPUs, is cut at its middle pair and the halves run on two threads.
+    Each lane allocates its two scratch tiles once, so besides coords and
+    out the blocks hold one buffer and, per lane, at most 2 max(_TILE, k)
+    floats and numpy's ufunc buffer.
+    """
+    coords = _as_sketch(coords, "rho_blocks")
+    n, k = coords.shape
+    total = n * (n - 1) // 2
+    if out is not None and out.shape != (total,):
+        raise ValueError(f"rho_blocks needs an out of shape ({total},), got {out.shape}")
+    size = min(_BLOCK_PAIRS, total)
+    buffer = np.empty(size) if out is None else None
+    # The first block is the largest, so it takes the most lanes.
+    scratch = [_scratch(min(n - 1, size), k) for _ in range(_lanes(size * k))]
+    i, j = 0, 1
+    for lo in range(0, total, size):
+        count = min(size, total - lo)
+        values = buffer[:count] if out is None else out[lo : lo + count]
+        if _lanes(count * k) == 1:
+            _rho_span(coords, i, j, values, *scratch[0])
+        else:
+            half = count // 2
+            second = _advance(n, i, j, half)
+            _in_two_lanes(
+                lambda: _rho_span(coords, i, j, values[:half], *scratch[0]),
+                lambda: _rho_span(coords, *second, values[half:], *scratch[1]),
+            )
+        _check_finite(values)
+        yield i, j, values
+        i, j = _advance(n, i, j, count)
+
+
+def _rho_bound(coords) -> float:
+    """A bound on rho of every pair of rows of an (N, k) sketch: rho of its
+    column spreads max - min against zeros. Every pair's |u_c - v_c| is at
+    most the spread of column c, and subtraction, xi and the mean all keep
+    that order. A spread that is not finite, so some pair's difference,
+    raises rho's ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = coords.max(axis=0) - coords.min(axis=0)
+    return rho(spread, np.zeros_like(spread))
+
+
+def _as_sketch(coords, caller: str) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[0] < 2 or coords.shape[1] == 0:
-        raise ValueError(f"rho_pairs needs an (N, k) array with N >= 2 and k >= 1, got {coords.shape}")
-    n, k = coords.shape
-    rhos = np.empty(n * (n - 1) // 2)
+        raise ValueError(f"{caller} needs an (N, k) array with N >= 2 and k >= 1, got {coords.shape}")
+    return coords
 
-    def fill(rows: range) -> None:
-        # Pairs (i, j) of the rows i in `rows` fill their own slice of rhos.
-        done = rows.start * (2 * n - 1 - rows.start) // 2
-        scratch = _scratch(n - 1 - rows.start, k)
-        for i in rows:
-            _rho_rows(coords[i + 1 :], coords[i], rhos[done : done + n - 1 - i], *scratch)
-            done += n - 1 - i
 
-    if _lanes(rhos.size * k) == 1:
-        fill(range(n - 1))
-    else:
-        # The first row whose pairs start at or past half the pairs.
-        cut = next(i for i in range(n) if i * (2 * n - 1 - i) >= rhos.size)
-        _in_two_lanes(lambda: fill(range(cut)), lambda: fill(range(cut, n - 1)))
-    _check_finite(rhos)
-    return rhos
+def _row_segments(n: int, i: int, j: int, count: int):
+    """The row segments (i, lo, hi), pairs (i, lo)..(i, hi - 1), that hold
+    the ``count`` pairs of an N-row sketch from pair (i, j) on, in i < j
+    row-major order."""
+    while count:
+        hi = min(n, j + count)
+        yield i, j, hi
+        count -= hi - j
+        i, j = i + 1, i + 2
+
+
+def _advance(n: int, i: int, j: int, count: int) -> tuple[int, int]:
+    """The pair ``count`` places after pair (i, j) of an N-row sketch in
+    i < j row-major order; past the last pair, (N - 1, N)."""
+    while count and j + count >= n:
+        count -= n - j
+        i, j = i + 1, i + 2
+    return i, j + count
+
+
+def _rho_span(coords, i: int, j: int, out, diff, root) -> None:
+    # out[m] = rho of the m-th pair from pair (i, j) on, a row segment at a time.
+    done = 0
+    for row, lo, hi in _row_segments(len(coords), i, j, out.size):
+        _rho_rows(coords[lo:hi], coords[row], out[done : done + hi - lo], diff, root)
+        done += hi - lo
 
 
 def _block_rows(k: int) -> int:

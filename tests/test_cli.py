@@ -1,22 +1,26 @@
 """The command-line surface: exit codes, file contracts, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cauchysketch.cauchy as cauchy_module
-from cauchysketch.cli import main
+import cauchysketch.metric as metric_module
+from cauchysketch.cli import cmd_estimate, main
 from cauchysketch.concentration import max_abs_plan, plan_dimension
 from cauchysketch.metric import rho
 from cauchysketch.moments import mu, mu_inverse
 from cauchysketch.sketch import read_binary_matrix, regime_tag, write_binary_matrix
+from test_metric import _OBJECTS, _lane_bytes
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -346,12 +350,13 @@ class TestEstimate:
 
 
 class TestEstimateLanes:
-    """Past 2^18 differences, estimate splits the rows i over two lanes."""
+    """estimate splits a block of 2^18 or more differences over two lanes
+    at its middle pair."""
 
     @pytest.fixture
     def sketch(self, tmp_path):
-        # 4,950 pairs x k = 64 is 316,800 differences; the scales give
-        # all four tags.
+        # 4,950 pairs at k = 64: the first block of 4,096 pairs is 2^18
+        # differences; the scales give all four tags.
         rng = np.random.default_rng(8)
         path = tmp_path / "points.csv"
         scales = np.repeat([1e-13, 1e-3, 0.05, 1.0], 25)[:, None]
@@ -365,7 +370,7 @@ class TestEstimateLanes:
         tables = []
         for lanes in (1, 2):
             monkeypatch.setattr(cauchy_module, "_LANES", lanes)
-            assert cauchy_module._lanes(4950 * 64) == lanes
+            assert cauchy_module._lanes(metric_module._BLOCK_PAIRS * 64) == lanes
             out = str(tmp_path / f"pairs{lanes}.csv")
             assert main(["estimate", "--input", sketch, "--output", out]) == 0
             tables.append(open(out, "rb").read())
@@ -376,8 +381,8 @@ class TestEstimateLanes:
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_overflow_in_second_lane_rows_exits_2(self, sketch, monkeypatch, capsys, lanes):
-        # Only the pair (98, 99) overflows; the second lane takes rows i
-        # from 30 on.
+        # Only the pair (98, 99) overflows, in the second lane of the last
+        # block; the column spreads show it before the first block.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
         coords = read_binary_matrix(sketch)
         coords[98, 0], coords[99, 0] = 1e308, -1e308
@@ -393,9 +398,10 @@ class TestEstimateBytes:
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_table_bytes_are_frozen(self, tmp_path, monkeypatch, lanes):
         # The sketch is written directly, so no projection product (and no
-        # BLAS) enters. At k = 5000 a block of 13 rows ends inside a row's
-        # pairs, 4,950 pairs take two lanes, and the row scales give all
-        # four tags. The coordinates are exact multiples of powers of two.
+        # BLAS) enters. At k = 5000 a stack of 13 rows ends inside a row's
+        # pairs, the 4,096 pairs of the first block take two lanes, cut
+        # inside a row, and the row scales give all four tags. The
+        # coordinates are exact multiples of powers of two.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
         rng = np.random.default_rng(16)
         scales = np.repeat(2.0 ** np.array([-43, -6, 1, 4]), 25)[:, None]
@@ -413,6 +419,99 @@ class TestEstimateBytes:
         assert hashlib.sha256(table).hexdigest() == (
             "d20a9866be96b3811217bee36f65192059f277b7f8342b18c2e0288b39d5a27c"
         )
+
+
+def _write_sketch(path, coords, epsilon=0.25, c=3.0) -> str:
+    n, k = coords.shape
+    write_binary_matrix(path, coords)
+    with open(f"{path}.json", "w") as handle:
+        json.dump({"k": k, "n_points": n, "epsilon": epsilon, "c": c}, handle)
+    return str(path)
+
+
+class TestEstimateBlocks:
+    """estimate solves, tags and writes a block of at most _BLOCK_PAIRS
+    pairs at a time."""
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_pieces_equal_the_whole(self, tmp_path, monkeypatch, block, lanes):
+        # 435 pairs at k = 5000: blocks of 7 end inside rows, and on two
+        # lanes every block of two or more pairs is cut at its middle pair,
+        # for blocks of 7 and the one block of 4,096 inside a row; a
+        # one-pair block is cut before its only pair. The row scales give
+        # all four tags.
+        rng = np.random.default_rng(19)
+        scales = np.repeat(2.0 ** np.array([-43, -6, 1, 4]), [8, 8, 7, 7])[:, None]
+        sk = _write_sketch(tmp_path / "sk.bin", rng.standard_normal((30, 5000)) * scales)
+        whole, pieces = tmp_path / "whole.csv", tmp_path / "pieces.csv"
+        assert main(["estimate", "--input", sk, "--output", str(whole)]) == 0
+        monkeypatch.setattr(metric_module, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        monkeypatch.setattr(cauchy_module, "_LANE_MIN_ELEMENTS", 1)
+        assert main(["estimate", "--input", sk, "--output", str(pieces)]) == 0
+        table = pieces.read_bytes()
+        assert table == whole.read_bytes()
+        assert {line.split(b",")[-1] for line in table.splitlines()[1:]} == {
+            b"large", b"small", b"really-small", b"unproven-upper"
+        }
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # Column 0 of the last pair differs by more than the largest float.
+            ((1e308, -1e308), "rho needs rows whose differences are finite"),
+            # Every column of the last pair differs by exactly the largest
+            # float, and the mean of 51 copies of xi(float max) rounds above
+            # mu(float max), so that pair has no finite estimate.
+            ((np.finfo(float).max / 2, -np.finfo(float).max / 2), "above mu(float max)"),
+        ],
+        ids=["overflow", "past mu max"],
+    )
+    def test_rejects_before_the_first_byte(self, tmp_path, monkeypatch, capsys, bad, message):
+        coords = np.zeros((5, 51))
+        coords[:3] = np.arange(3 * 51).reshape(3, 51)
+        if message.startswith("rho needs"):
+            coords[3, 0], coords[4, 0] = bad
+        else:
+            coords[3], coords[4] = bad
+        sk = _write_sketch(tmp_path / "sk.bin", coords)
+        monkeypatch.setattr(metric_module, "_BLOCK_PAIRS", 1)
+        out = tmp_path / "pairs.csv"
+        capsys.readouterr()
+        for argv in (["--output", str(out)], []):
+            assert main(["estimate", "--input", sk, *argv]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize("n", [150, 400])
+    def test_memory_does_not_grow_with_n(self, tmp_path, n):
+        # k = 8 keeps every block on one lane. Besides the sketch and the
+        # lane's scratch tiles, estimate holds at most 48 floats a pair of
+        # one block, counted in block-sized float arrays from the code: the
+        # rho values (1) and, while mu_inverse runs, its working arrays
+        # (about 20: the Newton loop's m, lo, hi, lambda, tolerance,
+        # residual, step, masks and indices, and mu's temporaries on both
+        # seeds at once); or, after it, the estimates and tags (2) and the
+        # rows of a row segment, which may be the whole block (about 33:
+        # float lists of 4 and 4, a tag list of 1, ~110 B a pair of row
+        # strings and the list that joins them, and the ~55 B a pair
+        # joined string), plus that string encoded on write (7). That is
+        # at most 43; 48 leaves a margin.
+        rng = np.random.default_rng(23)
+        coords = rng.standard_cauchy((n, 8)) * np.resize([1e-9, 1e-3, 1.0], n)[:, None]
+        sk = _write_sketch(tmp_path / "sk.bin", coords)
+        args = argparse.Namespace(input=sk, output=str(tmp_path / "pairs.csv"))
+        assert cauchy_module._lanes(metric_module._BLOCK_PAIRS * 8) == 1
+        tracemalloc.start()
+        try:
+            assert cmd_estimate(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= coords.nbytes + _lane_bytes(8) + 48 * metric_module._BLOCK_PAIRS * 8 + _OBJECTS
 
 
 class TestVerifyCommand:

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import cauchysketch.cauchy as cauchy_module
 import cauchysketch.metric as metric_module
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
-from cauchysketch.metric import rho, rho_pairs, xi, xi_small_envelope
+from cauchysketch.metric import rho, rho_blocks, rho_pairs, xi, xi_small_envelope
 from cauchysketch.moments import mu_inverse
 from cauchysketch.sketch import sketch_dataset
 
@@ -319,6 +319,29 @@ class TestRhoPairs:
         with pytest.raises(ValueError, match="rho needs rows whose differences are finite"):
             rho_pairs(coords)
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    @pytest.mark.parametrize("n, k", [(30, 5000), (9, 2**16 + 3)])
+    def test_blocks_are_pieces_of_rho_pairs(self, monkeypatch, n, k, block, lanes):
+        # At k = 5000 blocks of 7 pairs end inside rows, and on two lanes
+        # the one block of all 435 pairs is cut inside row 8. At
+        # k = 2^16 + 3, on two lanes, a block of 7 or more pairs is cut
+        # inside a row.
+        coords = _cauchy_coords(n, k)
+        whole = rho_pairs(coords)
+        monkeypatch.setattr(metric_module, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        starts, pieces = [], []
+        for i, j, values in rho_blocks(coords):
+            starts.append((i, j))
+            pieces.append(values.copy())
+        assert [len(piece) for piece in pieces[:-1]] == [block] * (len(pieces) - 1)
+        assert 0 < len(pieces[-1]) <= block
+        assert starts == pairs[::block]
+        assert np.array_equal(np.concatenate(pieces).view(np.uint64), whole.view(np.uint64))
+        assert np.array_equal(rho_pairs(coords).view(np.uint64), whole.view(np.uint64))
+
     @pytest.mark.parametrize(
         "coords",
         [np.zeros(4), np.zeros((2, 2, 2)), np.zeros((1, 4)), np.zeros((0, 4)), np.zeros((3, 0))],
@@ -327,6 +350,10 @@ class TestRhoPairs:
     def test_rejects_shapes(self, coords):
         with pytest.raises(ValueError, match="rho_pairs needs an"):
             rho_pairs(coords)
+
+    def test_blocks_reject_an_out_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"rho_blocks needs an out of shape \(6,\)"):
+            next(rho_blocks(np.zeros((4, 2)), np.empty(5)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_coordinates(self, bad):
