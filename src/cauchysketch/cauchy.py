@@ -15,7 +15,8 @@ the buffer the uniforms were drawn into. Generator.random is uniform on
 finite -1.633123935319537e16, so the transform has no pole to avoid and
 draw i is a function of uniform i alone: a stream cut into pieces gives
 the same values as one draw. That is what lets the Monte Carlo row map
-draw its rows on two threads at once (see _map_rows).
+draw its rows, and the sketch each block of its matrix, on two threads
+at once (see _split_stream).
 Streams come from numpy's PCG64 seeded through SeedSequence(entropy=seed,
 spawn_key=(stream_id,)), which is documented to be deterministic across
 platforms; the generator identity travels with sketch metadata so
@@ -49,10 +50,11 @@ GENERATOR_NAME = "pcg64-seedseq"
 _U64_MAX = 2**64 - 1
 
 
-# Threads the two loops that split work (the Monte Carlo row map, which
-# cuts its rows in two, and metric.rho_blocks, which cuts each block of
-# pairs at its middle pair) run on: the CPUs this process may run on, at
-# most 2. Every loop writes the same bits at any lane count.
+# Threads the three loops that split work (the Monte Carlo row map, which
+# cuts its rows in two, metric.rho_blocks, which cuts each block of pairs
+# at its middle pair, and sketch_dataset, which cuts each block of F's
+# rows in two) run on: the CPUs this process may run on, at most 2. Every
+# loop writes the same bits at any lane count.
 _LANES = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -74,11 +76,12 @@ def _in_two_lanes(first, second) -> None:
     """Run second() on a worker thread while the caller runs first(); wait
     for both, then raise the caller's exception, or else the worker's.
 
-    numpy's ufuncs and Generator fills release the GIL, so two lanes over
-    disjoint slices of one array use two CPUs. Lanes start only in the
-    Monte Carlo row map (_map_rows) and metric.rho_blocks, once per block
-    of pairs, and no kernel either one calls starts lanes, so lanes never
-    nest.
+    numpy's ufuncs, Generator fills and matmul release the GIL, so two
+    lanes over disjoint slices of one array use two CPUs. Lanes start only
+    in the Monte Carlo row map (_map_rows), in metric.rho_blocks, once per
+    block of pairs, and in sketch.sketch_dataset, once per block of F's
+    rows, whose products run on one BLAS thread. No kernel any of them
+    calls starts lanes, so lanes never nest.
     """
     failure = []
 

@@ -30,6 +30,7 @@ from .metric import _rho_bound, _row_segments, rho_blocks
 from .moments import _MU_MAX, mu_inverse
 from .sketch import (
     DatasetFormatError,
+    _product_threads,
     read_binary_matrix,
     read_points,
     regime_tag,
@@ -72,6 +73,9 @@ def cmd_sketch(args: argparse.Namespace) -> int:
     max_abs_plan(k, args.epsilon, n, args.c)
     coords = sketch_dataset(points, k, seed)
     metadata = {
+        # 1: the products ran on one BLAS thread, so the bytes hold under
+        # any thread count; null: on BLAS's own count, which they depend on.
+        "blas_threads": _product_threads(),
         "generator": GENERATOR_NAME,
         "version": __version__,
         "k": coords.shape[1],

@@ -23,13 +23,26 @@ payload) used both for input datasets and sketch output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
+import glob
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import RngSeed, _check_count, _fill_cauchy, make_generator, sample_standard_cauchy
+from .cauchy import (
+    RngSeed,
+    _check_count,
+    _fill_cauchy,
+    _lanes,
+    _split_stream,
+    make_generator,
+    sample_standard_cauchy,
+)
 from .concentration import _scale_cutoffs
 from .moments import _check_lambda
 
@@ -49,9 +62,9 @@ __all__ = [
 # anything this sketch is meant for.
 MAX_ENTRIES = 2**31
 # Projection entries a sketch draws per block of rows of F (8 MB of
-# float64), so F is never held whole. The block edges decide which rows
-# one BLAS product covers, and with them the sketch bytes, so this stays
-# fixed.
+# float64), so F is never held whole. The block edges and the cut of each
+# block in two (_cut) decide which rows one BLAS product covers, and with
+# them the sketch bytes, so both stay fixed.
 _BLOCK_DRAWS = 2**20
 
 
@@ -102,7 +115,11 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
     F has the entries of build_projection(k, d, seed), shared by every
     point. It is drawn and applied a block of rows at a time (about
     _BLOCK_DRAWS entries) into one reused buffer, so the memory held is
-    the sketch plus one block. Raises ValueError when a product
+    the sketch plus one block. Each block is cut in two at a row fixed by
+    the block alone, and each half is one product on one BLAS thread, so
+    the bytes do not depend on the BLAS thread count or the CPU count
+    (when numpy's OpenBLAS is not found, the halves run on BLAS's own
+    thread count; see _one_blas_thread). Raises ValueError when a product
     overflows: finite points can still produce an infinite sketch
     coordinate, which no distance could be read from. Raises it too when
     a column's max - min overflows, since that bounds the difference of
@@ -119,21 +136,108 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
     rng = make_generator(seed)
     coords = np.empty((arr.shape[0], k))
     buffer = np.empty(min(rows, k) * d)  # every block is drawn into it
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def project(g, a, b):
+        # Rows a..b of F, drawn from g into their place in the buffer
+        # (blocks start at multiples of rows), times X into columns a..b
+        # of the sketch. np.errstate holds per thread, so each lane enters
+        # its own.
+        start = (a % rows) * d
+        block = _fill_cauchy(g, buffer[start : start + (b - a) * d]).reshape(b - a, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(arr, block.T, out=coords[:, a:b])
+
+    with _one_blas_thread() as capped:
         for lo in range(0, k, rows):
             hi = min(k, lo + rows)
-            # One lane: after each matmul, OpenBLAS's threads spin on the
-            # other CPU for a while, and a second draw lane there measured
-            # 0.205 -> 0.25 s per wide sketch. It wins only with BLAS on
-            # one thread.
-            block = _fill_cauchy(rng, buffer[: (hi - lo) * d]).reshape(hi - lo, d)
-            np.matmul(arr, block.T, out=coords[:, lo:hi])
-        if not np.isfinite(coords).all():
-            raise ValueError("sketch coordinates overflow float64; rescale the points")
+            mid = lo + _cut(hi - lo)
+            # The second half is drawn from a jump-ahead copy of the
+            # stream on the second lane; on one lane, or uncapped (where a
+            # threaded product's workers already use the other CPU), one
+            # lane makes the same two calls in turn.
+            if capped and mid > lo and _lanes((hi - lo) * d) == 2:
+                _split_stream(
+                    rng, (mid - lo) * d, lambda g: project(g, lo, mid), lambda g: project(g, mid, hi)
+                )
+            else:
+                project(rng, lo, mid)
+                project(rng, mid, hi)
+    if not np.isfinite(coords).all():
+        raise ValueError("sketch coordinates overflow float64; rescale the points")
+    with np.errstate(over="ignore"):
         spread = coords.max(axis=0) - coords.min(axis=0)
     if not np.isfinite(spread).all():
         raise ValueError("sketch coordinates differ by more than float64 holds; rescale the points")
     return coords
+
+
+def _cut(rows: int) -> int:
+    """Rows of a block that go to its first half: the half, or for more
+    than 128 rows the nearest multiple of 64 to it (a BLAS tile edge)."""
+    return rows // 2 if rows <= 128 else 64 * ((rows + 64) // 128)
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS numpy's wheel
+    bundles (scipy-openblas, 64-bit ints), or None when numpy links another
+    BLAS. Looked up on the first sketch, not at import."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            # RTLD_NOLOAD: only the copy numpy has loaded, never a second one.
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _product_threads() -> int | None:
+    """The BLAS thread count sketch products run on: 1, or None when numpy's
+    OpenBLAS is not found and they run on BLAS's own count."""
+    return None if _openblas() is None else 1
+
+
+# The cap is process-wide: sketches running at once share it, and the
+# last to finish restores the count the first one found.
+_cap_lock = threading.Lock()
+_cap_holders = 0
+_uncapped_threads = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, process-wide, and restore its
+    thread count on exit; yields whether the cap holds.
+
+    A threaded OpenBLAS product rounds by how it splits the work over its
+    threads, and its idle workers spin on the other CPU after each call,
+    against the sketch's second lane and the estimate's lanes. Setting
+    the count per lane does not work: a worker thread's
+    openblas_set_num_threads_local changed the count the main thread saw.
+    """
+    global _cap_holders, _uncapped_threads
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    with _cap_lock:
+        if _cap_holders == 0:
+            _uncapped_threads = get()
+            set_(1)
+        _cap_holders += 1
+    try:
+        yield True
+    finally:
+        with _cap_lock:
+            _cap_holders -= 1
+            if _cap_holders == 0:
+                set_(_uncapped_threads)
 
 
 # Indexed by the codes regime_tag computes.

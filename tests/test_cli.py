@@ -15,11 +15,12 @@ import pytest
 
 import cauchysketch.cauchy as cauchy_module
 import cauchysketch.metric as metric_module
+import cauchysketch.sketch as sketch_module
 from cauchysketch.cli import cmd_estimate, main
 from cauchysketch.concentration import max_abs_plan, plan_dimension
 from cauchysketch.metric import rho
 from cauchysketch.moments import mu, mu_inverse
-from cauchysketch.sketch import read_binary_matrix, regime_tag, write_binary_matrix
+from cauchysketch.sketch import _product_threads, read_binary_matrix, regime_tag, write_binary_matrix
 from test_metric import _OBJECTS, _lane_bytes
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -227,26 +228,48 @@ class TestSketch:
 
     def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
         # N x d times d x k is large enough for BLAS to split the product
-        # over threads. The bytes agree at this 64 x 1024, k = 1024 shape
-        # only: other shapes (57 x 3000 at k = 1000) differ between 1 and
-        # 2 BLAS threads, which the byte contract leaves out.
-        points = str(tmp_path / "wide.bin")
-        rng = np.random.default_rng(3)
-        write_binary_matrix(points, rng.standard_normal((64, 1024)))
-        blobs = []
-        for threads in ("1", "2"):
-            out = str(tmp_path / f"sk{threads}.bin")
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
-            done = subprocess.run(
-                [sys.executable, "-m", "cauchysketch.cli", "sketch", "--input", points,
-                 "--format", "bin", "--output", out, "--epsilon", "0.25", "--k", "1024",
-                 "--seed", "11"],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert done.returncode == 0, done.stderr
-            blobs.append(open(out, "rb").read())
+        # over threads; these bytes agreed under 1 and 2 BLAS threads at
+        # 0.18.0 too.
+        blobs = _sketch_under_blas_threads(tmp_path, 64, 1024, 1024)
         assert blobs[0] == blobs[1]
+
+    def test_capped_products_keep_bytes_that_threads_changed(self, tmp_path):
+        # 0.18.0 wrote other bytes here under 1 and 2 BLAS threads; every
+        # product of a sketch now runs on one.
+        if _product_threads() is None:
+            pytest.skip("numpy's bundled OpenBLAS was not found, so sketch products "
+                        "run on BLAS's own thread count")
+        blobs = _sketch_under_blas_threads(tmp_path, 57, 3000, 1000)
+        assert blobs[0] == blobs[1]
+
+    def test_sidecar_records_the_blas_thread_count(self, dataset, tmp_path, monkeypatch):
+        meta = json.loads(open(run_sketch(dataset, tmp_path) + ".json").read())
+        assert meta["blas_threads"] == _product_threads()
+        # Without numpy's OpenBLAS the products run on BLAS's own count.
+        monkeypatch.setattr(sketch_module, "_openblas", lambda: None)
+        meta = json.loads(open(run_sketch(dataset, tmp_path) + ".json").read())
+        assert meta["blas_threads"] is None
+
+
+def _sketch_under_blas_threads(tmp_path, n, d, k):
+    """The bytes `sketch` writes for n x d normal points at k, in a process
+    with OPENBLAS_NUM_THREADS=1 and one with 2."""
+    points = str(tmp_path / "points.bin")
+    write_binary_matrix(points, np.random.default_rng(3).standard_normal((n, d)))
+    blobs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"sk{threads}.bin")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(
+            [sys.executable, "-m", "cauchysketch.cli", "sketch", "--input", points,
+             "--format", "bin", "--output", out, "--epsilon", "0.25", "--k", str(k),
+             "--seed", "11"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        blobs.append(open(out, "rb").read())
+    return blobs
 
 
 class TestEstimate:

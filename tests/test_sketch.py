@@ -4,6 +4,8 @@ and the dataset file formats."""
 import hashlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -13,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cauchysketch import cauchy as cauchy_module
 from cauchysketch import sketch as sketch_module
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
 from cauchysketch.cli import main
@@ -196,6 +199,184 @@ class TestBlockedSketch:
             same = np.array([copies[j] == copies[i] for j in range(i + 1, n)])
             assert (estimates[same] == 0.0).all()
             assert (tags[same] == "really-small").all()
+
+
+needs_cap = pytest.mark.skipif(
+    sketch_module._openblas() is None,
+    reason="numpy's bundled OpenBLAS was not found, so sketch products run uncapped",
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test
+    and put back after it."""
+    get, set_ = sketch_module._openblas()
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestBlasCap:
+    """sketch_dataset holds numpy's OpenBLAS at one thread while it runs and
+    cuts each block of F in two, one product a half, over the lanes."""
+
+    @pytest.mark.parametrize("rows, cut", [(1, 0), (2, 1), (40, 20), (128, 64), (129, 64),
+                                           (256, 128), (320, 192), (1000, 512)])
+    def test_cut_is_the_half_or_a_tile_edge(self, rows, cut):
+        assert sketch_module._cut(rows) == cut
+
+    @needs_cap
+    def test_count_is_restored_after_return_and_error(self, blas_threads, monkeypatch):
+        seen = []
+        fill = sketch_module._fill_cauchy
+
+        def recording(rng, out):
+            seen.append(blas_threads())
+            return fill(rng, out)
+
+        monkeypatch.setattr(sketch_module, "_fill_cauchy", recording)
+        sketch_dataset(np.ones((3, 5)), 8, SEED)
+        assert set(seen) == {1}
+        assert blas_threads() == 2
+        with pytest.raises(ValueError, match="overflow float64"):
+            sketch_dataset(np.full((2, 1), 1e308), 64, SEED)
+        assert blas_threads() == 2
+
+    @needs_cap
+    def test_count_is_restored_after_two_sketches_at_once(self, blas_threads, monkeypatch):
+        # "first" finishes while "second" still runs, so a save and restore
+        # per sketch would uncap "second" and leave the count it found (1).
+        first_in, second_in, first_done = (threading.Event() for _ in range(3))
+        seen, failures = [], []
+        fill = sketch_module._fill_cauchy
+
+        def pacing(rng, out):
+            if threading.current_thread().name == "first":
+                first_in.set()
+                second_in.wait(10)
+            else:
+                second_in.set()
+                first_done.wait(10)
+                seen.append(blas_threads())
+            return fill(rng, out)
+
+        def sketch(after):
+            try:
+                after.wait(10)
+                sketch_dataset(np.ones((3, 5)), 8, SEED)
+            except BaseException as exc:  # re-raised in the test below
+                failures.append(exc)
+
+        monkeypatch.setattr(sketch_module, "_fill_cauchy", pacing)
+        started = threading.Event()
+        started.set()
+        threads = [threading.Thread(target=sketch, args=(started,), name="first"),
+                   threading.Thread(target=sketch, args=(first_in,), name="second")]
+        for thread in threads:
+            thread.start()
+        threads[0].join(10)
+        first_done.set()
+        threads[1].join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
+    @needs_cap
+    def test_count_survives_many_sketches_at_once(self, blas_threads, monkeypatch):
+        # More threads than CPUs, switching often: a lost update of the
+        # number of sketches running would uncap a running sketch or leave
+        # the cap on after the last.
+        seen, failures = [], []
+        fill = sketch_module._fill_cauchy
+
+        def recording(rng, out):
+            seen.append(blas_threads())
+            return fill(rng, out)
+
+        def sketches():
+            try:
+                for _ in range(50):
+                    sketch_dataset(np.ones((2, 3)), 4, SEED)
+            except BaseException as exc:  # re-raised in the test below
+                failures.append(exc)
+
+        monkeypatch.setattr(sketch_module, "_fill_cauchy", recording)
+        threads = [threading.Thread(target=sketches) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert len(seen) == 4 * 50 * 2 and set(seen) == {1}
+        assert blas_threads() == 2
+
+    @needs_cap
+    @pytest.mark.parametrize("n, d, k, splits", [
+        (6, 4096, 512, 2),   # two blocks of 256 rows, each cut at 128
+        (5, 3000, 1000, 3),  # blocks of 320 rows cut at 192, a last one of 40 on one lane
+        (7, 4000, 100, 1),   # k < 128: one block cut at 50
+    ])
+    def test_lanes_change_no_bytes(self, monkeypatch, n, d, k, splits):
+        points = make_generator(RngSeed(5, 16)).standard_normal((n, d))
+        calls = []
+        split = sketch_module._split_stream
+
+        def counting(*args):
+            calls.append(1)
+            split(*args)
+
+        monkeypatch.setattr(sketch_module, "_split_stream", counting)
+        sketches = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+            calls.clear()
+            sketches.append(sketch_dataset(points, k, SEED))
+            assert len(calls) == (splits if lanes == 2 else 0)
+        assert sketches[0].tobytes() == sketches[1].tobytes()
+        # Each lane multiplies the rows of F its half covers.
+        entries = build_projection(k, d, SEED).entries
+        scale = np.abs(points) @ np.abs(entries).T
+        assert np.all(np.abs(sketches[1] - points @ entries.T) <= d * np.finfo(float).eps * scale)
+
+    @needs_cap
+    def test_overflow_in_the_second_lane_raises(self, monkeypatch):
+        # The second lane's rows of F are set to 1e306, so only its half of
+        # the product overflows. np.errstate holds per thread: a lane that
+        # did not enter its own would warn, and the RuntimeWarning (an error
+        # under this suite's filter) would surface in place of ValueError.
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        fill = sketch_module._fill_cauchy
+
+        def second_lane_huge(rng, out):
+            fill(rng, out)
+            if threading.current_thread() is not threading.main_thread():
+                out.fill(1e306)
+            return out
+
+        monkeypatch.setattr(sketch_module, "_fill_cauchy", second_lane_huge)
+        with pytest.raises(ValueError, match="overflow float64"):
+            sketch_dataset(np.ones((3, 4000)), 100, SEED)
+
+    def test_without_openblas_the_halves_run_on_one_lane(self, monkeypatch):
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        monkeypatch.setattr(sketch_module, "_openblas", lambda: None)
+        calls = []
+        monkeypatch.setattr(sketch_module, "_split_stream", lambda *args: calls.append(1))
+        points = make_generator(RngSeed(5, 17)).standard_normal((4, 4000))
+        coords = sketch_dataset(points, 100, SEED)
+        assert not calls
+        entries = build_projection(100, 4000, SEED).entries
+        scale = np.abs(points) @ np.abs(entries).T
+        assert np.all(np.abs(coords - points @ entries.T) <= 4000 * np.finfo(float).eps * scale)
 
 
 class TestSketchConfig:
