@@ -50,11 +50,13 @@ GENERATOR_NAME = "pcg64-seedseq"
 _U64_MAX = 2**64 - 1
 
 
-# Threads the three loops that split work (the Monte Carlo row map, which
-# cuts its rows in two, metric.rho_blocks, which cuts each block of pairs
-# at its middle pair, and sketch_dataset, which cuts each block of F's
-# rows in two) run on: the CPUs this process may run on, at most 2. Every
-# loop writes the same bits at any lane count.
+# Lanes, the threads split work runs on: the CPUs this process may run on,
+# at most 2. Three loops split their work over them (the Monte Carlo row
+# map, which cuts its rows in two, metric.rho_blocks, which cuts each
+# block of pairs at its middle pair, and sketch_dataset, which cuts each
+# block of F's rows in two), and `verify --suite all` runs whole suites
+# on them. Every loop writes the same bits at any lane count; inside a
+# lane it runs on that lane alone (see _lanes).
 _LANES = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -67,8 +69,15 @@ _LANE_MIN_ELEMENTS = 2**18
 _TILE = 2**16
 
 
+# Set on the threads of a running _in_two_lanes; _lanes reads it.
+_lane = threading.local()
+
+
 def _lanes(elements: int) -> int:
-    """Lanes a loop over this many elements is split over: 1 or 2."""
+    """Lanes a loop over this many elements is split over: 1 or 2. On a
+    thread that already runs a lane it is 1, so lanes never nest."""
+    if getattr(_lane, "active", False):
+        return 1
     return _LANES if elements >= _LANE_MIN_ELEMENTS else 1
 
 
@@ -77,26 +86,35 @@ def _in_two_lanes(first, second) -> None:
     for both, then raise the caller's exception, or else the worker's.
 
     numpy's ufuncs, Generator fills and matmul release the GIL, so two
-    lanes over disjoint slices of one array use two CPUs. Lanes start only
-    in the Monte Carlo row map (_map_rows), in metric.rho_blocks, once per
-    block of pairs, and in sketch.sketch_dataset, once per block of F's
-    rows, whose products run on one BLAS thread. No kernel any of them
-    calls starts lanes, so lanes never nest.
+    lanes over disjoint slices of one array use two CPUs. Lanes start in
+    the Monte Carlo row map (_map_rows), in metric.rho_blocks, once per
+    block of pairs, in sketch.sketch_dataset, once per block of F's rows,
+    whose products run on one BLAS thread, and in cli's verify, which
+    runs whole suites on them. Both threads are marked as lanes until
+    both finish (the caller's old mark comes back after), and _lanes is
+    1 on a marked thread, so a loop inside a lane runs on that lane alone
+    and lanes never nest.
     """
     failure = []
 
     def run() -> None:
+        _lane.active = True
         try:
             second()
         except BaseException as exc:  # re-raised in the caller
             failure.append(exc)
 
+    outer = getattr(_lane, "active", False)
+    _lane.active = True
     worker = threading.Thread(target=run)
-    worker.start()
     try:
-        first()
+        worker.start()
+        try:
+            first()
+        finally:
+            worker.join()
     finally:
-        worker.join()
+        _lane.active = outer
     if failure:
         raise failure[0]
 
@@ -223,7 +241,8 @@ def cdf_abs(t):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(np.isnan(t)):
         raise ValueError("cdf_abs requires t >= 0")
-    out = (2.0 / np.pi) * np.arctan(t)
+    out = np.arctan(t)
+    out *= 2.0 / np.pi
     return float(out) if out.ndim == 0 else out
 
 
@@ -271,9 +290,13 @@ def ks_statistic(samples, cdf) -> float:
     if n == 0:
         raise ValueError("ks_statistic requires a non-empty sample")
     f = np.asarray(cdf(x), dtype=np.float64)
-    grid = np.arange(1, n + 1) / n
-    d_plus = np.max(grid - f)
-    d_minus = np.max(f - (grid - 1.0 / n))
+    grid = np.arange(1, n + 1, dtype=np.float64)
+    grid /= n
+    # The gaps go into the sorted copy, unless cdf returned a view of it.
+    gaps = np.empty(n) if np.may_share_memory(f, x) else x
+    d_plus = np.max(np.subtract(grid, f, out=gaps))
+    grid -= 1.0 / n
+    d_minus = np.max(np.subtract(f, grid, out=gaps))
     return float(max(d_plus, d_minus))
 
 

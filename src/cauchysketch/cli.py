@@ -22,9 +22,10 @@ import dataclasses
 import json
 import os
 import sys
+import threading
 
-from . import __version__
-from .cauchy import GENERATOR_NAME, RngSeed
+from . import __version__, cauchy
+from .cauchy import GENERATOR_NAME, RngSeed, _in_two_lanes
 from .concentration import max_abs_plan, plan_dimension
 from .metric import _rho_bound, _row_segments, rho_blocks
 from .moments import _MU_MAX, mu_inverse
@@ -178,11 +179,16 @@ def _table_rows(n, i, j, rhos, estimates, tags):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    outcomes = _run_suites(names, seed, args.trials)
     lines: list[str] = []
     all_pass = True
-    for name in names:
-        report = run_suite(name, seed, args.trials)
+    # In name order, so what is printed before a suite's error, and the
+    # error, are those of one suite at a time.
+    for name in sorted(names):
+        report = outcomes[name]
+        if isinstance(report, Exception):
+            raise report
         lines.extend(report.to_jsonl_lines())
         gated = [case for case in report.cases if case.get("gated", True)]
         passed = sum(1 for case in gated if case["pass"])
@@ -200,6 +206,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
         with open(args.output, "w") as handle:
             handle.write("\n".join(lines) + "\n")
     return 0 if all_pass else 1
+
+
+def _run_suites(names, seed, trials) -> dict:
+    """The report of each named suite, or the exception it raised, by name.
+
+    Several suites on two CPUs run over the two lanes: each lane takes
+    the next of ``names`` (given heaviest first) as it frees, and within
+    a lane every loop runs on that lane alone. Otherwise they run in turn.
+    """
+    pending = iter(names)
+    lock = threading.Lock()
+    outcomes: dict = {}
+
+    def lane() -> None:
+        while True:
+            with lock:
+                name = next(pending, None)
+            if name is None:
+                return
+            try:
+                outcomes[name] = run_suite(name, seed, trials)
+            except Exception as exc:  # raised in its name's turn
+                outcomes[name] = exc
+
+    if len(names) > 1 and cauchy._LANES == 2:
+        _in_two_lanes(lane, lane)
+    else:
+        lane()
+    return outcomes
 
 
 def _add_seed_flags(parser: argparse.ArgumentParser) -> None:

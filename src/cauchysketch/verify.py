@@ -421,7 +421,10 @@ def _suite_stability(seed: RngSeed, n: int = 100_000):
         dim = int(vec_rng.integers(2, 50))
         v = vec_rng.standard_normal(dim) * np.exp(vec_rng.uniform(-2.0, 2.0, size=dim))
         samples = stable_combination(v, make_generator(_subseed(seed, 200 + i)), size=n)
-        statistic = ks_statistic(np.abs(samples) / float(np.sum(np.abs(v))), cdf_abs)
+        # |samples| / ||v||_1 in the samples' own buffer
+        np.abs(samples, out=samples)
+        samples /= float(np.sum(np.abs(v)))
+        statistic = ks_statistic(samples, cdf_abs)
         name = f"1-stability KS, vector {i} (dim {dim}, n={n})"
         yield _bound_case(name, statistic, critical, 0.0)
     direct = sample_standard_cauchy(make_generator(_subseed(seed, 104)), n)
@@ -492,9 +495,14 @@ def _suite_tails(seed: RngSeed, n: int = 1_000_000):
 
 
 def _mgf_split(y: np.ndarray, u: float, out: np.ndarray) -> None:
-    # e^{uy} 1{uy <= 1} - 1 - uy - (uy)^2 into out; y becomes uy.
+    # e^{uy} 1{uy <= 1} - 1 - uy - (uy)^2 into out, step by step in out
+    # and y (which becomes (uy)^2); y is never NaN.
     y *= u
-    np.subtract(np.where(y <= 1.0, np.exp(y), 0.0) - 1.0 - y, np.square(y), out=out)
+    np.exp(y, out=out)
+    out[y > 1.0] = 0.0
+    out -= 1.0
+    out -= y
+    out -= np.square(y, out=y)
 
 
 def _in_validity(lam: float, t: float) -> bool:
@@ -563,15 +571,18 @@ def _suite_planner(seed: RngSeed, n: int = 1000):
 
 # Each suite is a generator of report cases. Its n is its Monte Carlo size
 # (specfun and moments have none), and n = 0 yields only the
-# deterministic cases; run_suite sizes, times and reports it.
+# deterministic cases; run_suite sizes, times and reports it. Heaviest
+# first, the order `verify --suite all` hands suites to its lanes: CPU
+# time at default trials on a 2-vCPU x86-64 VM was 235 ms (stability),
+# 160, 153, 70, 65, 15 and 3 ms (specfun).
 SUITES = {
-    "specfun": _suite_specfun,
-    "moments": _suite_moments,
     "stability": _suite_stability,
     "tails": _suite_tails,
-    "maxbound": _suite_maxbound,
     "concentration": _suite_concentration,
+    "maxbound": _suite_maxbound,
     "planner": _suite_planner,
+    "moments": _suite_moments,
+    "specfun": _suite_specfun,
 }
 
 

@@ -2,6 +2,7 @@
 and the KS machinery."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,8 @@ from cauchysketch.cauchy import (
     GENERATOR_NAME,
     RngSeed,
     _check_count,
+    _in_two_lanes,
+    _lanes,
     _map_rows,
     cdf_abs,
     ks_critical_value,
@@ -24,7 +27,8 @@ from cauchysketch.cauchy import (
     survival_abs,
 )
 from cauchysketch.concentration import max_abs_plan, plan_dimension
-from cauchysketch.sketch import build_projection, sketch_dataset
+from cauchysketch.metric import rho_blocks
+from cauchysketch.sketch import _product_threads, build_projection, sketch_dataset
 from cauchysketch.verify import (
     empirical_k_search,
     run_concentration_trial,
@@ -255,6 +259,35 @@ class TestKolmogorovSmirnov:
         with pytest.raises(ValueError):
             ks_critical_value(0, 0.01)
 
+    def test_statistic_keeps_the_bits_of_the_plain_formula(self):
+        rng = make_generator(RngSeed(3, 1))
+        for _ in range(20):
+            n = int(rng.integers(1, 5000))
+            samples = np.abs(sample_standard_cauchy(rng, n)) * rng.uniform(0.1, 10.0)
+            x = np.sort(samples)
+            f = (2.0 / np.pi) * np.arctan(x)
+            grid = np.arange(1, n + 1) / n
+            plain = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
+            assert ks_statistic(samples, cdf_abs) == plain
+
+    def test_statistic_of_a_cdf_returning_its_input(self):
+        # the gaps cannot go into the sorted copy when cdf returns it
+        samples = np.array([0.6, 0.2])
+        assert ks_statistic(samples, lambda t: t) == pytest.approx(0.4, abs=1e-15)
+
+    def test_statistic_holds_three_arrays_of_the_sample(self):
+        # the sorted copy (which takes the gaps), the cdf values and the
+        # grid; cdf_abs scales its arctan in place
+        n = 100_000
+        samples = np.abs(sample_standard_cauchy(make_generator(SEED), n))
+        tracemalloc.start()
+        try:
+            ks_statistic(samples, cdf_abs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * samples.nbytes + 100_000
+
     @given(st.integers(2, 50))
     def test_statistic_bounds(self, n):
         rng = make_generator(RngSeed(n, 5))
@@ -353,6 +386,71 @@ class TestLanes:
         uniforms = np.random.Generator(bit_generator(11)).random(size)
         reference = np.tan(np.pi * (uniforms - 0.5))
         assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
+
+
+class TestLaneNesting:
+    """A thread running a lane splits nothing further: _lanes is 1 on
+    both lanes, and the lane count comes back when they finish."""
+
+    def test_lanes_is_one_inside_both_lanes(self, monkeypatch):
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        seen = []
+        _in_two_lanes(lambda: seen.append(_lanes(2**20)), lambda: seen.append(_lanes(2**20)))
+        assert seen == [1, 1]
+        assert _lanes(2**20) == 2
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_lane_count_comes_back_after_an_exception(self, monkeypatch, failing):
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+
+        def lane(name):
+            def run():
+                if name == failing:
+                    raise ArithmeticError(name)
+            return run
+
+        with pytest.raises(ArithmeticError, match=failing):
+            _in_two_lanes(lane("first"), lane("second"))
+        assert _lanes(2**20) == 2
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(_lanes(2**20)))
+        thread.start()
+        thread.join()
+        assert seen == [2]
+
+    def test_loops_inside_a_lane_start_no_thread(self, monkeypatch):
+        # Outside a lane each loop below splits over two threads; inside
+        # one, the only thread started is the second lane's own.
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        coords = np.random.default_rng(4).standard_normal((100, 64))
+        points = np.random.default_rng(5).standard_normal((10, 4096))
+
+        def loops():
+            draws = np.empty((2**12, 64))
+            _map_rows(make_generator(SEED), 64, draws, lambda rows, dst: np.copyto(dst, rows))
+            return (
+                draws,
+                np.concatenate([values.copy() for _, _, values in rho_blocks(coords)]),
+                sketch_dataset(points, 128, SEED),
+            )
+
+        outside = loops()
+        assert len(started) >= 2 + (_product_threads() == 1)
+        started.clear()
+        inside = []
+        _in_two_lanes(lambda: inside.append(loops()), lambda: inside.append(loops()))
+        assert len(started) == 1
+        for result in inside:
+            for got, want in zip(result, outside):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMapRows:

@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import cauchysketch.cauchy as cauchy_module
+import cauchysketch.cli as cli_module
 import cauchysketch.metric as metric_module
 import cauchysketch.sketch as sketch_module
 from cauchysketch.cli import cmd_estimate, main
@@ -21,6 +24,7 @@ from cauchysketch.concentration import max_abs_plan, plan_dimension
 from cauchysketch.metric import rho
 from cauchysketch.moments import mu, mu_inverse
 from cauchysketch.sketch import _product_threads, read_binary_matrix, regime_tag, write_binary_matrix
+from cauchysketch.verify import SUITES
 from test_metric import _OBJECTS, _lane_bytes
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -582,6 +586,97 @@ class TestVerifyCommand:
         assert main([*args, "--output", a]) == 0
         assert main([*args, "--output", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+class TestVerifySuiteLanes:
+    """verify --suite all runs whole suites over two lanes, and prints and
+    writes what one lane does, apart from the (N ms) of each suite."""
+
+    @staticmethod
+    def _verify(monkeypatch, capsys, lanes, *argv):
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        calls = []
+
+        def counting(first, second):
+            calls.append(1)
+            cauchy_module._in_two_lanes(first, second)
+
+        monkeypatch.setattr(cli_module, "_in_two_lanes", counting)
+        code = main(["verify", "--suite", "all", *argv])
+        captured = capsys.readouterr()
+        assert len(calls) == (lanes == 2)
+        return code, re.sub(r"\(\d+ ms\)", "", captured.out), captured.err
+
+    def test_lanes_keep_report_and_stdout(self, tmp_path, monkeypatch, capsys):
+        # seed 0 at 2000 trials fails one KS gate, so the FAIL lines and
+        # the exit code are compared too
+        results = []
+        for lanes in (1, 2):
+            out = tmp_path / f"{lanes}.jsonl"
+            argv = ["--trials", "2000", "--seed", "0", "--output", str(out)]
+            results.append((*self._verify(monkeypatch, capsys, lanes, *argv), out.read_bytes()))
+        assert results[0] == results[1]
+        code, stdout, err, _ = results[0]
+        assert code == 1 and err == ""
+        assert [line.split(":")[0] for line in stdout.splitlines() if line.startswith("suite")] == [
+            f"suite {name}" for name in sorted(SUITES)
+        ]
+
+    def test_first_failing_suite_in_name_order_raises(self, tmp_path, monkeypatch, capsys):
+        # Two suites raise: on two lanes tails raises on the second lane
+        # while stability runs on the first. moments comes first in name
+        # order, so both lane counts print the two suites before it and
+        # exit on its error.
+        def broken(exc):
+            def suite(seed, n=0):
+                raise exc
+
+            return suite
+
+        monkeypatch.setitem(SUITES, "moments", broken(ValueError("moments broke")))
+        monkeypatch.setitem(SUITES, "tails", broken(OSError("tails broke")))
+        results = []
+        for lanes in (1, 2):
+            out = tmp_path / f"{lanes}.jsonl"
+            argv = ["--trials", "2000", "--seed", "5", "--output", str(out)]
+            results.append(self._verify(monkeypatch, capsys, lanes, *argv))
+            assert not out.exists()
+        assert results[0] == results[1]
+        code, stdout, err = results[0]
+        assert code == 2 and err == "error: moments broke\n"
+        assert [line.split(":")[0] for line in stdout.splitlines()] == [
+            "suite concentration",
+            "suite maxbound",
+        ]
+
+
+    def test_every_suite_runs_once_under_stress(self, monkeypatch):
+        # Two runs of 500 stand-in suites at once (four lanes on at most
+        # two CPUs) and a thread switch every microsecond: a suite taken
+        # twice or lost by the shared iterator shows in the calls.
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        calls = []
+        monkeypatch.setattr(cli_module, "run_suite", lambda name, seed, trials: calls.append(name) or name)
+        names = [[f"{run}-{i}" for i in range(500)] for run in range(2)]
+        outcomes = [None, None]
+
+        def run(index):
+            outcomes[index] = cli_module._run_suites(names[index], None, None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(index,)) for index in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(calls) == sorted(names[0] + names[1])
+        for index in range(2):
+            assert outcomes[index] == {name: name for name in names[index]}
 
 
 class TestSeedResolution:
