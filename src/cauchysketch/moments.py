@@ -3,14 +3,16 @@ the auxiliary mean E ln(1 + lambda |X|), second-moment and variance upper
 bounds, small-scale envelopes, and the deviation widths the Chernoff
 planner divides by.
 
-The mean map
+The mean map, as the paper prints it and in the form computed here,
 
     mu(lambda) = atanh(sqrt(2 lambda)/(1 + lambda)) + ln(1 + lambda^2)/2
+               = ln(1 + lambda + sqrt(2 lambda)),
 
-is strictly increasing with mu(0) = 0, so it doubles as the calibration
-curve of the sketch: invert it at an observed rho to estimate the original
-l1 distance. The atanh argument peaks at 1/sqrt(2) (at lambda = 1), so the
-formula is total.
+since (1 + lambda)^2 - 2 lambda = 1 + lambda^2 turns the atanh into
+ln(1 + lambda + sqrt(2 lambda)) - ln(1 + lambda^2)/2. It is strictly
+increasing with mu(0) = 0, so it doubles as the calibration curve of the
+sketch: invert it at an observed rho to estimate the original l1
+distance. The inverse is elementary too: e^m - sqrt(2 e^m - 1).
 
 Every closed form here is checked against an independent quadrature oracle
 in the verification suites; nothing in this module integrates anything.
@@ -25,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import atanh_eval, ti2
+from .specfun import ti2
 
 __all__ = [
     "DeviationPair",
     "mu",
-    "mu_derivative",
     "mu_inverse",
     "mu_small_envelope",
     "deviations",
@@ -41,10 +42,6 @@ __all__ = [
 
 _HALF_PI_SQ = math.pi * math.pi / 2.0
 _SQRT2 = math.sqrt(2.0)
-
-# lambda^2 overflows above ~1.3e154; mu and mu_derivative switch to forms
-# without lambda^2 above this scale and keep their bits below it.
-_LARGE_LAMBDA = 1e150
 
 
 def _check_lambda(lam, *, positive: bool = False):
@@ -75,57 +72,14 @@ def _check_epsilon(epsilon) -> float:
 
 
 def mu(lam):
-    """Mean map mu(lambda) = E xi(lambda |X|), in closed form.
+    """Mean map mu(lambda) = E xi(lambda |X|) = ln(1 + lambda + sqrt(2 lambda)).
 
-    A float gives a float, an array an array of its shape. Finite for
-    every finite lambda: above _LARGE_LAMBDA, where lambda^2 would
-    overflow, ln(1 + lambda^2)/2 is taken as ln(lambda) + ln(1 + lambda^-2)/2
-    and sqrt(2 lambda) as sqrt(2) sqrt(lambda).
+    The paper's atanh form, rewritten as the module docstring shows. It
+    has no lambda^2, so it is finite for every finite lambda. A float
+    gives a float, an array an array of its shape.
     """
-
-    def below(lam):
-        return atanh_eval(np.sqrt(2.0 * lam) / (1.0 + lam)) + 0.5 * np.log1p(lam * lam)
-
-    def above(lam):
-        return atanh_eval(_SQRT2 * np.sqrt(lam) / (1.0 + lam)) + (
-            np.log(lam) + 0.5 * np.log1p((1.0 / lam) ** 2)
-        )
-
-    return _by_scale(_check_lambda(lam), below, above)
-
-
-def mu_derivative(lam):
-    """d mu / d lambda; strictly positive on lambda > 0.
-
-    Differentiating the closed form collapses to
-    ((1 - lambda)/sqrt(2 lambda) + lambda) / (1 + lambda^2); above
-    _LARGE_LAMBDA numerator and denominator are divided by lambda first.
-    A float gives a float, an array an array of its shape.
-    """
-
-    def below(lam):
-        return ((1.0 - lam) / np.sqrt(2.0 * lam) + lam) / (1.0 + lam * lam)
-
-    def above(lam):
-        numerator = (1.0 - lam) / (_SQRT2 * np.sqrt(lam)) + lam
-        return (numerator / lam) / (lam + 1.0 / lam)
-
-    return _by_scale(_check_lambda(lam, positive=True), below, above)
-
-
-def _by_scale(lam, below, above):
-    # below(lam) where lam <= _LARGE_LAMBDA, above(lam) elsewhere; neither
-    # sees the other's elements, so lambda^2 never overflows. A float
-    # gives a float.
-    large = lam > _LARGE_LAMBDA
-    if not np.any(large):
-        out = below(lam)
-    elif np.all(large):
-        out = above(lam)
-    else:
-        out = np.empty_like(lam)
-        out[~large] = below(lam[~large])
-        out[large] = above(lam[large])
+    lam = _check_lambda(lam)
+    out = np.log1p(lam + _SQRT2 * np.sqrt(lam))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -230,18 +184,14 @@ def deviations(lam: float, epsilon: float) -> DeviationPair:
 def mu_inverse(m):
     """Inverse of the mean map: the lambda with mu(lambda) = m.
 
-    Takes a float, which gives a float, or an array, which gives an array
-    of its shape; each element is solved on its own, so the array and the
-    scalar call agree element by element. Bracketed bisection seeded by
-    the small-scale inverse (lambda ~ m^2/2) and the large-scale asymptote
-    (ln(1 + lambda^2)/2 ~ m), refined by Newton steps that fall back to
-    bisection whenever they leave the bracket. Round-trips mu to better
-    than 1e-10 relative up to lambda ~ 1e6 and 1e-9 up to the largest
-    float; m above mu(float max) ~ 709.78 has no finite inverse and
-    raises ValueError. Below mu(5e-324) ~ 3.1e-162 the inverse is smaller
-    than the smallest positive float and is returned as that float, so
-    only m = 0 gives 0. A float runs through the same array code, at about
-    0.1-0.2 ms a call; to invert many m, pass them as one array.
+    In closed form: e^m = 1 + lambda + sqrt(2 lambda) is a quadratic in
+    sqrt(lambda), so lambda = e^m - sqrt(2 e^m - 1). Takes a float, which
+    gives a float, or an array, which gives an array of its shape, element
+    by element with the same bits. Within a few ulp of the exact inverse
+    wherever that is a normal float. m above mu(float max) ~ 709.78 has no
+    finite inverse and raises ValueError. Below mu(5e-324) ~ 3.1e-162 the
+    inverse is smaller than the smallest positive float and is returned as
+    that float, so only m = 0 gives 0.
     """
     arr = np.asarray(m, dtype=np.float64)
     if not ((arr >= 0.0) & (arr <= _MU_MAX)).all():
@@ -253,85 +203,23 @@ def mu_inverse(m):
             f"got {float(arr[arr > _MU_MAX].flat[0])!r}"
         )
     flat = arr.ravel()
-    solve = flat > _MU_TINY
     lam = np.where(flat > 0.0, _TINY, 0.0)
-    if solve.any():
-        lam[solve] = _solve_mu(flat[solve])
+    # Below 300, with E = e^m - 1 and q = E / (1 + sqrt(1 + 2E)), lambda is
+    # 2 q^2 without the cancellation of e^m - sqrt(2 e^m - 1) at small m.
+    # Above, where 2E would overflow past m ~ 709.1, lambda is
+    # t (t - sqrt(2 - 1/t^2)) with t = e^(m/2); 1/t^2 < 1e-130 vanishes
+    # beside 2 there.
+    low = (flat > _MU_TINY) & (flat < 300.0)
+    e = np.expm1(flat[low])
+    q = e / (1.0 + np.sqrt(1.0 + 2.0 * e))
+    lam[low] = 2.0 * q * q
+    high = flat >= 300.0
+    t = np.exp(0.5 * flat[high])
+    lam[high] = t * (t - _SQRT2)
     lam = lam.reshape(arr.shape)
     return float(lam) if lam.ndim == 0 else lam
 
 
-@np.errstate(over="ignore")
-def _solve_mu(m: np.ndarray) -> np.ndarray:
-    # mu(lambda) = m for a 1-d array of m in (mu(5e-324), mu(float max)].
-    # Seeds: mu ~ sqrt(2 lambda) for small lambda, ~ ln(lambda) for large.
-    # expm1(2m) overflows past m ~ 354.9; there e^(m+1) (or the largest
-    # float) brackets instead, since mu(lambda) > ln(lambda). Overflow in
-    # a branch np.where discards, or in a rejected Newton step, is silenced.
-    lo = 0.25 * m * m
-    hi = np.where(
-        m < 350.0,
-        np.maximum(2.0 * m * m, np.sqrt(np.expm1(2.0 * m)) + 1.0),
-        np.where(m < 708.0, np.exp(m + 1.0), sys.float_info.max),
-    )
-    # One mu evaluation checks both seeds; they bracket unless rounding
-    # says otherwise, and then the loops widen them.
-    both = mu(np.concatenate((lo, hi)))
-    over, under = both[: m.size] > m, both[m.size :] < m
-    for _ in range(_MAX_ITER):
-        if not over.any():
-            break
-        lo[over] *= 0.25
-        over = mu(lo) > m
-    for _ in range(_MAX_ITER):
-        if not under.any():
-            break
-        hi[under] *= 4.0
-        under = mu(hi) < m
-    unbracketed = over | under
-    if unbracketed.any():
-        raise ArithmeticError(f"mu_inverse failed to bracket m={float(m[unbracketed][0])!r}")
-
-    # Newton from lambda far below the root gains only about
-    # ln(1 + m - ln(lambda)) a step on the logarithm-like mu: 70 steps
-    # from 0.5 m^2 at m = 320. From m = 2 on, start at hi/e instead,
-    # which the seeds put at e^(m-1) or e^m, next to the root.
-    lam = np.where(m >= 2.0, np.maximum(lo, hi / math.e), np.minimum(np.maximum(0.5 * m * m, lo), hi))
-
-    tol = _RTOL * m
-    out = np.empty_like(m)
-    todo = np.arange(m.size)
-    # A Newton step that leaves lambda where it is means no float is
-    # closer; only subnormal lambda, where _RTOL is out of reach, gets there
-    # before the _RTOL test passes.
-    settled = np.zeros(m.shape, dtype=bool)
-    for _ in range(_MAX_ITER):
-        f = mu(lam) - m
-        done = settled | (np.abs(f) <= tol)
-        if done.any():
-            if done.all():
-                out[todo] = lam
-                return out
-            out[todo[done]] = lam[done]
-            left = ~done
-            todo, m, tol, lam, lo, hi, f = (
-                x[left] for x in (todo, m, tol, lam, lo, hi, f)
-            )
-        over = f > 0.0
-        hi = np.where(over, lam, hi)
-        lo = np.where(over, lo, lam)
-        # Newton, safeguarded: reject steps outside the current bracket
-        # (an overflowing step is one of them).
-        step = lam - f / mu_derivative(lam)
-        settled = step == lam
-        lam = np.where(settled | ((lo < step) & (step < hi)), step, lo + 0.5 * (hi - lo))
-    out[todo] = lam
-    return out
-
-
-# mu_inverse stops at |mu(lambda) - m| <= _RTOL m, or after _MAX_ITER steps.
-_RTOL = 1e-12
-_MAX_ITER = 200
 # Largest value of mu on finite lambda; mu_inverse has no finite answer above it.
 _MU_MAX = mu(sys.float_info.max)
 # Smallest positive float and its mu; mu_inverse maps (0, _MU_TINY] to it.

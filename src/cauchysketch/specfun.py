@@ -1,28 +1,21 @@
-"""Real-valued special functions behind the closed forms of moments: the
-inverse tangent integral Ti_2 and atanh, with the atanh addition formula.
+"""The special function behind the closed form of E ln(1 + lambda |X|) in
+moments: the inverse tangent integral Ti_2.
 
-Everything here is evaluated in 64-bit floats to near machine precision.
-Ti_2 on [0, 1] is one alternating series, summed by the
-Cohen-Rodriguez Villegas-Zagier accelerated alternating sum; above 1 it
-comes from the inversion formula Ti_2(x) = Ti_2(1/x) + (pi/2) ln(x).
-verify checks Ti_2 against quadrature of arctan(x s)/s on both sides of
-1, and atanh through its addition formula.
+It is evaluated in 64-bit floats to near machine precision. Ti_2 on
+[0, 1] is one alternating series, summed by the Cohen-Rodriguez
+Villegas-Zagier accelerated alternating sum; above 1 it comes from the
+inversion formula Ti_2(x) = Ti_2(1/x) + (pi/2) ln(x). verify checks Ti_2
+against quadrature of arctan(x s)/s on both sides of 1.
 
-All functions reject NaN and out-of-domain inputs with ValueError rather
-than propagating garbage.
+ti2 rejects NaN and out-of-domain inputs with ValueError rather than
+propagating garbage.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-__all__ = [
-    "atanh_eval",
-    "atanh_add_arg",
-    "ti2",
-]
+__all__ = ["ti2"]
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -30,36 +23,6 @@ def _require_finite(name: str, x: float) -> float:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
-
-
-def atanh_eval(x):
-    """Inverse hyperbolic tangent on (-1, 1).
-
-    atanh(x) = (ln(1+x) - ln(1-x)) / 2; odd and strictly increasing. A
-    float gives a float, an array an array of its shape.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    inside = np.abs(x) < 1.0  # also false on NaN
-    if not inside.all():
-        bad = float(x[~inside].flat[0])
-        _require_finite("x", bad)
-        raise ValueError(f"atanh_eval requires |x| < 1, got {bad!r}")
-    # log1p keeps full precision for small x where ln(1 +- x) would cancel.
-    out = 0.5 * (np.log1p(x) - np.log1p(-x))
-    return float(out) if out.ndim == 0 else out
-
-
-def atanh_add_arg(x: float, y: float) -> float:
-    """Combined argument of the atanh addition formula.
-
-    atanh(x) + atanh(y) = atanh((x+y)/(1+xy)) for x, y in (-1, 1); this
-    returns (x+y)/(1+xy), which again lies in (-1, 1).
-    """
-    x = _require_finite("x", x)
-    y = _require_finite("y", y)
-    if abs(x) >= 1.0 or abs(y) >= 1.0:
-        raise ValueError("atanh_add_arg requires x, y in (-1, 1)")
-    return (x + y) / (1.0 + x * y)
 
 
 def _alternating_sum(term) -> float:

@@ -236,6 +236,10 @@ class TestKolmogorovSmirnov:
         d = ks_statistic(samples, lambda t: np.clip(t, 0.0, 1.0))
         assert d == pytest.approx(0.4, abs=1e-15)
 
+    def test_statistic_of_an_empty_sample_raises(self):
+        with pytest.raises(ValueError, match="non-empty sample"):
+            ks_statistic([], cdf_abs)
+
     def test_statistic_perfect_fit_is_small(self):
         # Plug-in quantiles: D = 1/(2n) exactly at the midpoint offsets.
         n = 1000

@@ -308,7 +308,7 @@ class TestEstimate:
         assert float(row[2]) == 0.0
         assert float(row[3]) == 0.0
 
-    def test_missing_or_broken_sidecar_exits_3(self, dataset, tmp_path):
+    def test_missing_or_broken_sidecar_exits_3(self, dataset, tmp_path, capsys):
         sk = run_sketch(dataset, tmp_path)
         meta = sk + ".json"
         os.remove(meta)
@@ -332,6 +332,13 @@ class TestEstimate:
             with open(meta, "w") as fh:
                 fh.write(not_an_object)
             assert main(["estimate", "--input", sk]) == 3, not_an_object
+        # a well-formed sidecar that describes another matrix
+        for other in ({"n_points": 5}, {"k": 401}):
+            with open(meta, "w") as fh:
+                json.dump({**good, **other}, fh)
+            capsys.readouterr()
+            assert main(["estimate", "--input", sk]) == 3, other
+            assert "sketch shape (4, 400) does not match metadata" in capsys.readouterr().err
         with open(meta, "w") as fh:
             json.dump(good, fh)
         assert main(["estimate", "--input", sk]) == 0
@@ -444,7 +451,7 @@ class TestEstimateBytes:
             b"large", b"small", b"really-small", b"unproven-upper"
         }
         assert hashlib.sha256(table).hexdigest() == (
-            "d20a9866be96b3811217bee36f65192059f277b7f8342b18c2e0288b39d5a27c"
+            "f7c9b68a8093af2a846c936c3c36cff27a3b38ab0db92b1512172278dbf4bd8c"
         )
 
 
@@ -519,14 +526,13 @@ class TestEstimateBlocks:
         # lane's scratch tiles, estimate holds at most 48 floats a pair of
         # one block, counted in block-sized float arrays from the code: the
         # rho values (1) and, while mu_inverse runs, its working arrays
-        # (about 20: the Newton loop's m, lo, hi, lambda, tolerance,
-        # residual, step, masks and indices, and mu's temporaries on both
-        # seeds at once); or, after it, the estimates and tags (2) and the
-        # rows of a row segment, which may be the whole block (about 33:
-        # float lists of 4 and 4, a tag list of 1, ~110 B a pair of row
-        # strings and the list that joins them, and the ~55 B a pair
-        # joined string), plus that string encoded on write (7). That is
-        # at most 43; 48 leaves a margin.
+        # (about 5: the estimates, E = e^m - 1, the closed form's
+        # temporaries and its boolean masks); or, after it, the estimates
+        # and tags (2) and the rows of a row segment, which may be the
+        # whole block (about 33: float lists of 4 and 4, a tag list of 1,
+        # ~110 B a pair of row strings and the list that joins them, and
+        # the ~55 B a pair joined string), plus that string encoded on
+        # write (7). That is at most 43; 48 leaves a margin.
         rng = np.random.default_rng(23)
         coords = rng.standard_cauchy((n, 8)) * np.resize([1e-9, 1e-3, 1.0], n)[:, None]
         sk = _write_sketch(tmp_path / "sk.bin", coords)

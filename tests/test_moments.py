@@ -4,6 +4,7 @@ sandwich, and the mean-map inverse."""
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from cauchysketch.moments import (
     deviations,
     expected_log1p,
     mu,
-    mu_derivative,
     mu_inverse,
     mu_small_envelope,
     second_moment_ratio_bound,
@@ -50,19 +50,27 @@ class TestMu:
         assert mu(0.0) == 0.0
 
     def test_mu_two_closed_form(self):
-        # atanh(2*sqrt(2)/ (1+2))... at lambda = 2 both terms equal
-        # atanh(2/3) = ln(5)/2, so mu(2) = ln 5.
+        # mu(2) = ln(1 + 2 + sqrt(4)) = ln 5; in the printed atanh form
+        # both terms are atanh(2/3) = ln(5)/2.
         assert mu(2.0) == pytest.approx(math.log(5.0), abs=1e-14)
 
     @given(log_uniform)
     def test_strictly_increasing(self, lam):
         assert mu(lam * 1.000001) > mu(lam)
 
-    @given(log_uniform)
-    def test_derivative_matches_difference_quotient(self, lam):
-        h = 1e-6 * lam
-        quotient = (mu(lam + h) - mu(lam - h)) / (2.0 * h)
-        assert mu_derivative(lam) == pytest.approx(quotient, rel=1e-6)
+    def test_matches_the_papers_atanh_form(self):
+        # mpmath's value of the printed atanh(sqrt(2 lambda)/(1 + lambda))
+        # + ln(1 + lambda^2)/2, across every float scale: 1e150 and 1.4e154
+        # sit on both sides of where the printed lambda^2 overflows a float.
+        lams = [5e-324, 1e-310, 1e150, 1.4e154, sys.float_info.max]
+        lams += np.geomspace(1e-300, 1e308, 301).tolist()
+        worst = 0.0
+        with mpmath.workdps(40):
+            for lam in lams:
+                x = mpmath.mpf(lam)
+                exact = mpmath.atanh(mpmath.sqrt(2 * x) / (1 + x)) + mpmath.log1p(x * x) / 2
+                worst = max(worst, abs(mu(lam) - float(exact)) / math.ulp(float(exact)))
+        assert worst <= 4.0
 
     @given(st.floats(1e-12, 1.0))
     def test_small_scale_envelope(self, lam):
@@ -88,10 +96,8 @@ class TestMu:
              np.geomspace(5e-324, 1e308, 20001)]
         )
         assert mu(lams).tolist() == [mu(lam) for lam in lams.tolist()]
-        positive = lams[1:]
-        assert mu_derivative(positive).tolist() == [mu_derivative(lam) for lam in positive.tolist()]
         assert mu(lams[:6].reshape(2, 3)).shape == (2, 3)
-        assert type(mu(2.0)) is float and type(mu_derivative(np.float64(2.0))) is float
+        assert type(mu(2.0)) is float and type(mu(np.float64(2.0))) is float
 
     def test_domain(self):
         for bad, message in ((-0.5, ">= 0"), (math.nan, "finite"), (math.inf, "finite")):
@@ -99,11 +105,6 @@ class TestMu:
                 mu(bad)
             with pytest.raises(ValueError, match=message):
                 mu(np.array([1.0, bad]))
-        for bad, message in ((0.0, "> 0"), (-1.0, "> 0"), (math.inf, "finite")):
-            with pytest.raises(ValueError, match=message):
-                mu_derivative(bad)
-            with pytest.raises(ValueError, match=message):
-                mu_derivative(np.array([1.0, bad]))
 
 
 class TestExpectedLog1p:
@@ -198,21 +199,41 @@ class TestMuInverse:
     @settings(max_examples=200)
     @given(log_uniform)
     def test_round_trip(self, lam):
-        assert mu_inverse(mu(lam)) == pytest.approx(lam, rel=1e-10)
+        assert mu_inverse(mu(lam)) == pytest.approx(lam, rel=1e-14)
 
     def test_round_trip_extremes(self):
-        for lam in (1e-12, 1e12):
-            assert mu_inverse(mu(lam)) == pytest.approx(lam, rel=1e-9)
+        # up to lambda = 1e27 (m ~ 62.9), where a float m is spaced at most
+        # 7.1e-15 apart; the test below takes over from there
+        lams = np.geomspace(1e-300, 1e27, 2001)
+        assert (np.abs(mu_inverse(mu(lams)) - lams) <= 1e-14 * lams).all()
+
+    def test_matches_the_exact_inverse(self):
+        # mpmath's e^m - sqrt(2 e^m - 1), with digits to spare for its
+        # cancellation at small m, wherever that is a normal float; m = 300
+        # is where mu_inverse changes form.
+        ms = np.geomspace(1e-153, mu(sys.float_info.max), 400).tolist()
+        ms += [math.nextafter(300.0, 0.0), 300.0, mu(sys.float_info.max)]
+        worst = 0.0
+        for m in ms:
+            with mpmath.workdps(40 + 2 * max(0, -math.floor(math.log10(m)))):
+                e = mpmath.exp(mpmath.mpf(m))
+                exact = float(e - mpmath.sqrt(2 * e - 1))
+            if exact >= sys.float_info.min:
+                worst = max(worst, abs(mu_inverse(m) - exact) / math.ulp(exact))
+        assert worst <= 8.0
 
     def test_round_trip_past_lambda_squared_overflow(self):
-        # lambda^2 overflows above ~1.3e154 and expm1(2m) above m ~ 354.9
-        for lam in np.geomspace(1e150, 1e300, 301):
-            lam = float(lam)
-            assert mu_inverse(mu(lam)) == pytest.approx(lam, rel=1e-9)
-            assert mu_derivative(lam) == pytest.approx(1.0 / lam, rel=1e-6)
+        # lambda^2 overflows above ~1.3e154, where the paper's form of mu
+        # could not be computed as printed. Past lambda ~ e^64 a float m
+        # is spaced more than 1e-14 apart, and lambda ~ e^m moves by that
+        # fraction for one ulp of m, so no inverse comes nearer.
+        lams = np.geomspace(1e27, 1e308, 2001)
+        m = mu(lams)
+        error = np.abs(mu_inverse(m) - lams) / lams
+        assert (error <= np.maximum(1e-14, np.spacing(m))).all()
         top = mu(sys.float_info.max)
         assert top == pytest.approx(math.log(sys.float_info.max), rel=1e-15)
-        assert mu_inverse(top) == pytest.approx(sys.float_info.max, rel=1e-9)
+        assert mu_inverse(top) == pytest.approx(sys.float_info.max, rel=math.ulp(top))
         with pytest.raises(ValueError):
             mu_inverse(math.nextafter(top, math.inf))
 
@@ -221,14 +242,12 @@ class TestMuInverse:
         assert mu_inverse(m * 1.01) > mu_inverse(m)
 
     def test_round_trip_large_m(self):
-        # m >= 340 is lambda above ~1e147; the Newton start next to e^m
-        # keeps these to a few steps
+        # m >= 340 is lambda above ~1e147, on the t (t - sqrt 2) form;
+        # mu reads each m back within an ulp or two
         ms = np.linspace(340.0, mu(sys.float_info.max), 2001)
         lams = mu_inverse(ms)
         assert np.isfinite(lams).all()
-        for m, lam in zip(ms.tolist(), lams.tolist()):
-            assert mu(lam) == pytest.approx(m, rel=1e-9)
-            assert mu_inverse(mu(lam)) == pytest.approx(lam, rel=1e-9)
+        assert (np.abs(mu(lams) - ms) <= 2.0 * np.spacing(ms)).all()
 
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(9)

@@ -471,6 +471,27 @@ class TestBinaryFormat:
         with pytest.raises(DatasetFormatError):
             read_binary_matrix(path)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"", "truncated header"),
+            (np.array([2], dtype="<u8").tobytes(), "truncated header"),
+            (np.array([0, 3], dtype="<u8").tobytes(), r"empty dataset \(0 x 3\)"),
+        ],
+    )
+    def test_short_or_empty_header(self, tmp_path, raw, message):
+        path = tmp_path / "m.bin"
+        path.write_bytes(raw)
+        with pytest.raises(DatasetFormatError, match=message):
+            read_binary_matrix(str(path))
+
+    def test_write_takes_only_a_matrix(self, tmp_path):
+        path = tmp_path / "m.bin"
+        for array in (np.ones(3), np.ones((1, 2, 3))):
+            with pytest.raises(ValueError, match="expected a 2-d array"):
+                write_binary_matrix(str(path), array)
+        assert not path.exists()
+
     def test_absurd_header(self, tmp_path):
         path = str(tmp_path / "m.bin")
         with open(path, "wb") as handle:

@@ -9,53 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cauchysketch.specfun import atanh_add_arg, atanh_eval, ti2
+from cauchysketch.specfun import ti2
 
 # Frozen reference values, mpmath at 50 decimal digits.
 CATALAN = 0.91596559417721901505
 TI2_HALF = 0.48722235829452235711
 TI2_TWO = 1.5760154034463234224
 TI2_TEN = 3.7167814930680685903
-
-
-class TestAtanh:
-    def test_matches_stdlib(self):
-        for x in np.linspace(-0.99, 0.99, 41):
-            assert atanh_eval(float(x)) == pytest.approx(math.atanh(float(x)), rel=1e-15)
-
-    def test_small_argument_precision(self):
-        # atanh(x) = x + x^3/3 + ...; naive log form would lose digits here.
-        x = 1e-12
-        assert atanh_eval(x) == pytest.approx(x, rel=1e-15)
-
-    def test_array_matches_scalar(self):
-        xs = np.concatenate([[0.0, -0.0, 1e-300, math.nextafter(1.0, 0.0)], np.linspace(-0.99, 0.99, 41)])
-        assert atanh_eval(xs).tolist() == [atanh_eval(x) for x in xs.tolist()]
-        assert type(atanh_eval(np.float64(0.5))) is float
-
-    def test_domain(self):
-        for bad in (1.0, -1.0, 2.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                atanh_eval(bad)
-            with pytest.raises(ValueError):
-                atanh_eval(np.array([0.5, bad]))
-
-    @given(
-        st.floats(-0.95, 0.95, allow_nan=False),
-        st.floats(-0.95, 0.95, allow_nan=False),
-    )
-    def test_addition_formula(self, x, y):
-        combined = atanh_add_arg(x, y)
-        assert -1.0 < combined < 1.0
-        assert atanh_eval(x) + atanh_eval(y) == pytest.approx(
-            atanh_eval(combined), abs=1e-12
-        )
-
-    def test_add_arg_domain(self):
-        with pytest.raises(ValueError):
-            atanh_add_arg(1.0, 0.5)
-        with pytest.raises(ValueError):
-            atanh_add_arg(0.5, -1.0)
 
 
 class TestTi2:
