@@ -28,7 +28,7 @@ from .sketch import (
 )
 from .verify import SUITES, run_suite
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 __all__ = [
     "__version__",

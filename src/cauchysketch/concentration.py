@@ -46,7 +46,6 @@ __all__ = [
     "xi_tail_bound",
     "chernoff_rate_large",
     "u_star_large",
-    "u_star_small_upper",
     "ChernoffPlan",
     "plan_dimension",
     "plan_dimension_for_delta",
@@ -185,7 +184,7 @@ def u_star_large(epsilon: float) -> tuple[float, float]:
     return floor / (2.0 * (V_SQUARED + A_PLUS)), floor / (2.0 * (V_SQUARED + A_MINUS))
 
 
-def u_star_small_upper(epsilon: float, lam: float) -> float:
+def _u_star_small_upper(epsilon: float, lam: float) -> float:
     """Exponent optimizer eps mu/(2(V^2+A)) of the small-scale upper tail.
 
     With the per-unit-lambda bound V^2 + A <= lambda (3.126 + ratio terms)

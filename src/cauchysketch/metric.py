@@ -17,7 +17,7 @@ import numpy as np
 
 from .cauchy import _TILE, _in_two_lanes, _lanes
 
-__all__ = ["xi", "rho", "rho_pairs", "rho_blocks", "xi_small_envelope"]
+__all__ = ["xi", "rho", "rho_pairs", "rho_blocks"]
 
 # Pairs in one block of rho_blocks, and so in one block of the estimate
 # table: estimate holds the sketch and one block of rho values, estimates,
@@ -28,15 +28,20 @@ __all__ = ["xi", "rho", "rho_pairs", "rho_blocks", "xi_small_envelope"]
 _BLOCK_PAIRS = 4096
 
 
-def xi(a):
+def xi(a, out=None):
     """Coordinate function xi(a) = ln(1 + sqrt(a)) + ln(1 + a)/2, a >= 0.
 
     Evaluated through log1p so small a keeps full precision (xi(a) ~ sqrt(a)
     there, and naive ln(1 + sqrt(a)) sheds digits below 1e-8). Accepts
     scalars or arrays. Bounded by ln(1+a) <= xi(a) <= 2 ln(1 + sqrt(a)).
+    out, a C-contiguous float64 array of a's shape or a itself, takes the
+    values instead of a new array (after a ValueError, part of them).
     """
     a = np.asarray(a, dtype=np.float64)
-    out = np.empty(a.shape)
+    if out is None:
+        out = np.empty(a.shape)
+    elif out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("xi needs out to be a C-contiguous float64 array of a's shape")
     # Tile by tile into out, so besides a and out only one tile is alive;
     # xi is elementwise, so tiles keep every bit.
     flat, flat_out = a.reshape(-1), out.reshape(-1)
@@ -239,13 +244,13 @@ def _check_finite(means) -> None:
         raise ValueError("rho needs rows whose differences are finite; rescale the sketch")
 
 
-def xi_small_envelope(a: float) -> tuple[float, float]:
+def _xi_small_envelope(a: float) -> tuple[float, float]:
     """Approximate 1/2-homogeneity envelope of xi on 0 < a < 1/6.
 
     Returns (sqrt(a), sqrt(a) (1 + a/2)); xi(a) lies between the two.
     """
     a = float(a)
     if not 0.0 < a < 1.0 / 6.0:
-        raise ValueError(f"xi_small_envelope requires 0 < a < 1/6, got {a!r}")
+        raise ValueError(f"_xi_small_envelope requires 0 < a < 1/6, got {a!r}")
     root = np.sqrt(a)
     return float(root), float(root * (1.0 + 0.5 * a))

@@ -26,7 +26,7 @@ from cauchysketch.concentration import (
     plan_dimension_for_delta,
     xi_tail_bound,
 )
-from cauchysketch.metric import rho, xi, xi_small_envelope
+from cauchysketch.metric import _xi_small_envelope, rho, xi
 from cauchysketch.moments import expected_log1p, mu, mu_inverse, second_moment_ratio_bound
 from cauchysketch.quadrature import quadrature_mean
 from cauchysketch.specfun import ti2
@@ -169,7 +169,7 @@ def test_09_metric_axioms_and_envelope():
         for b in grid:
             assert xi(float(a + b)) <= xi(float(a)) + xi(float(b)) + 1e-15
     for a in np.geomspace(1e-12, 1.0 / 6.0 * (1.0 - 1e-12), 400):
-        lo, hi = xi_small_envelope(float(a))
+        lo, hi = _xi_small_envelope(float(a))
         assert lo <= xi(float(a)) <= hi
 
 

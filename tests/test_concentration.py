@@ -20,6 +20,7 @@ from cauchysketch.concentration import (
     _small_base,
     _small_lower_rate,
     _small_upper_rate,
+    _u_star_small_upper,
     chernoff_rate_large,
     corollary_band,
     dominating_survival,
@@ -28,7 +29,6 @@ from cauchysketch.concentration import (
     plan_dimension,
     plan_dimension_for_delta,
     u_star_large,
-    u_star_small_upper,
     xi_tail_bound,
     _scale_cutoffs,
 )
@@ -170,11 +170,11 @@ class TestChernoffRates:
     def test_small_upper_regime_errors(self):
         # the small-scale upper regime is (8 eps^2, 1]; 8 eps^2 = 0.5 here
         with pytest.raises(ValueError, match="8 eps"):
-            u_star_small_upper(0.25, 0.5)  # at 8 eps^2: unproven
+            _u_star_small_upper(0.25, 0.5)  # at 8 eps^2: unproven
         with pytest.raises(ValueError, match="8 eps"):
-            u_star_small_upper(0.25, 0.1)
+            _u_star_small_upper(0.25, 0.1)
         with pytest.raises(ValueError, match="8 eps"):
-            u_star_small_upper(0.25, 1.5)  # large-scale territory
+            _u_star_small_upper(0.25, 1.5)  # large-scale territory
 
     @settings(max_examples=200)
     @given(st.floats(0.01, 0.25), st.data())
@@ -202,13 +202,13 @@ class TestExponentOptimizers:
     @given(st.floats(0.01, 0.25), st.data())
     def test_small_upper_cap(self, eps, data):
         lam = data.draw(st.floats(8.0 * eps**2 * 1.0001, 1.0))
-        u = u_star_small_upper(eps, lam)
+        u = _u_star_small_upper(eps, lam)
         assert 0.0 < u < eps / math.sqrt(2.0 * lam)
         assert u < 0.25
 
     def test_small_upper_regime_error(self):
         with pytest.raises(ValueError, match="8 eps"):
-            u_star_small_upper(0.25, 0.4)
+            _u_star_small_upper(0.25, 0.4)
 
 
 class TestClassifyScale:

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import cauchysketch.cauchy as cauchy_module
 import cauchysketch.metric as metric_module
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
-from cauchysketch.metric import rho, rho_blocks, rho_pairs, xi, xi_small_envelope
+from cauchysketch.metric import _xi_small_envelope, rho, rho_blocks, rho_pairs, xi
 from cauchysketch.moments import mu_inverse
 from cauchysketch.sketch import sketch_dataset
 
@@ -49,7 +49,7 @@ class TestXi:
 
     @given(st.floats(1e-10, 1.0 / 6.0 - 1e-12))
     def test_small_argument_envelope(self, a):
-        low, high = xi_small_envelope(a)
+        low, high = _xi_small_envelope(a)
         assert low == pytest.approx(math.sqrt(a), rel=1e-15)
         assert high == pytest.approx(math.sqrt(a) * (1.0 + a / 2.0), rel=1e-15)
         assert low - 1e-15 <= xi(a) <= high + 1e-15
@@ -62,13 +62,29 @@ class TestXi:
 
     def test_envelope_domain(self):
         with pytest.raises(ValueError):
-            xi_small_envelope(1.0 / 6.0)
+            _xi_small_envelope(1.0 / 6.0)
         with pytest.raises(ValueError):
-            xi_small_envelope(0.0)
+            _xi_small_envelope(0.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             xi(-1e-9)
+
+    def test_out_takes_the_same_bits(self, monkeypatch):
+        # Several tiles, into a separate array and in place, and one that
+        # holds no result: the wrong shape, dtype or layout.
+        monkeypatch.setattr(metric_module, "_TILE", 100)
+        a = np.geomspace(1e-12, 1e12, 1001).reshape(7, 143)
+        expected = _xi_reference(a)
+        out = np.empty_like(a)
+        assert xi(a, out=out) is out
+        assert np.array_equal(out, expected)
+        in_place = a.copy()
+        assert xi(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place, expected)
+        for bad in (np.empty(a.size), np.empty(a.shape, np.float32), np.empty((143, 7)).T):
+            with pytest.raises(ValueError, match="out"):
+                xi(a, out=bad)
 
     def test_large_array_holds_two_temporaries(self):
         # The Monte Carlo suites pass xi arrays of millions of draws; its

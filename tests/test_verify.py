@@ -22,9 +22,9 @@ from cauchysketch.cauchy import (
     stable_combination,
 )
 from cauchysketch.concentration import (
+    _u_star_small_upper,
     dominating_survival,
     plan_dimension_for_delta,
-    u_star_small_upper,
     xi_tail_bound,
 )
 from cauchysketch.metric import xi
@@ -43,6 +43,8 @@ from cauchysketch.verify import (
 )
 
 SEED = RngSeed(20240817, 0)
+# More than one chunk of the tails suite, and not a whole number of them
+TAIL_TRIALS = 2 * verify_module._TAIL_CHUNK + 3001
 
 # Frozen reference values, mpmath at 50 decimal digits.
 MU_ONE = 1.2279471772995156799
@@ -57,7 +59,7 @@ ELOG1P_HALF = 0.626341499429429467
     [
         lambda lam: dominating_survival(lam, 3.0),
         lambda lam: xi_tail_bound(lam, 3.0),
-        lambda lam: u_star_small_upper(0.25, lam),
+        lambda lam: _u_star_small_upper(0.25, lam),
         lambda lam: quadrature_mean(xi, lam),
         lambda lam: run_concentration_trial(lam, 0.25, 4, 4, SEED),
         lambda lam: empirical_k_search(lam, 0.25, 0.01, SEED, trials=4),
@@ -322,7 +324,8 @@ class TestTilesAndLanes:
     each row is reduced from its own draws alone."""
 
     # (_TILE, _LANES); each variant lets two lanes split from one draw on.
-    VARIANTS = [(2**16, 1), (2**16, 2), (700, 1), (700, 2), (50, 2)]
+    # At 2^18 one tile holds both full chunks of the tails cases.
+    VARIANTS = [(2**16, 1), (2**16, 2), (2**18, 1), (700, 1), (700, 2), (50, 2)]
 
     @staticmethod
     def _outputs():
@@ -331,8 +334,9 @@ class TestTilesAndLanes:
             "concentration": run_concentration_trial(1.0, 0.25, 64, 301, SEED),
             "maxbound": verify_max_bound(100, 1.0, 0.2, 1001, SEED),
             "stable_combination": stable_combination(v, make_generator(SEED), 1001).view(np.uint64).tolist(),
-            # k = 2000 in its concentration case is a row wider than a tile
-            "tails": run_suite("tails", SEED, trials=3001).to_jsonl_lines(),
+            # two chunks and a remainder, pooled in order; k = 2000 in its
+            # concentration case is a row wider than a tile
+            "tails": run_suite("tails", SEED, trials=TAIL_TRIALS).to_jsonl_lines(),
             "k_search": empirical_k_search(2.0, 0.25, 0.05, SEED, trials=301),
         }
 
@@ -553,11 +557,11 @@ class TestSuites:
         assert max(dims) * n * 8 > 2 * bound  # one whole draw array would exceed it
         assert peak <= bound
 
-    def test_tails_holds_two_arrays_of_n(self):
-        # The tail frequencies and the MGF-splitting differences are
-        # computed a tile at a time into one array of n values, and the
-        # standard error squares its deviations in place, so the suite
-        # holds that one array plus tiles.
+    def test_tails_holds_chunks_not_an_array_of_n(self):
+        # Each case reduces its 10^6 draws a chunk at a time to exceedance
+        # counts or to a sum and a centred sum of squares, so the suite
+        # holds a few chunk-sized arrays per lane and 16 rows of partials;
+        # one array of n floats (8 MB) alone would exceed the bound.
         n = 1_000_000
         tracemalloc.start()
         try:
@@ -566,7 +570,38 @@ class TestSuites:
         finally:
             tracemalloc.stop()
         assert report.gated_pass
-        assert peak <= n * 8 + 12 * cauchy_module._TILE * 8
+        bound = 12 * verify_module._TAIL_CHUNK * 8
+        assert n * 8 > bound
+        assert peak <= bound
+
+    def test_tails_matches_the_materialised_values(self):
+        # Two full chunks and a remainder. The tail frequencies keep the
+        # bits of np.mean over all n values; the MGF-splitting mean and
+        # standard error, pooled chunk by chunk, agree with np.mean and
+        # np.std to rounding.
+        n = TAIL_TRIALS
+        cases = {c["case"]: c for c in run_suite("tails", SEED, trials=n).cases}
+
+        def draws(offset, lam):
+            values = sample_standard_cauchy(make_generator(verify_module._subseed(SEED, offset)), n)
+            return xi(lam * np.abs(values))
+
+        checked = 0
+        for idx, lam in enumerate((0.1, 1.0, 10.0)):
+            values = draws(300 + idx, lam)
+            for t in (2.0, 2.5, 3.0, 5.0, 10.0, 2.0 * math.log1p(math.sqrt(lam))):
+                case = cases[f"MC tail lambda={lam:g} t={t:.4g} (n={n})"]
+                assert case["oracle"] == float(np.mean(values > t))
+                checked += 1
+        for jdx, (lam, u) in enumerate(((0.5, 0.1), (0.5, 0.4), (1.0, 0.1), (1.0, 0.4))):
+            y = u * draws(400 + jdx, lam)
+            values = np.where(y <= 1.0, np.exp(y), 0.0) - 1.0 - y - y * y
+            case = cases[f"MGF splitting lambda={lam:g} u={u:g} (n={n})"]
+            assert case["oracle"] == pytest.approx(float(np.mean(values)), rel=1e-13, abs=0)
+            se = float(np.std(values)) / math.sqrt(n)
+            assert case["tolerance"] == pytest.approx(3.0 * se, rel=1e-13, abs=0)
+            checked += 1
+        assert checked == 22
 
     def test_different_seeds_change_monte_carlo(self):
         a = run_suite("maxbound", SEED, trials=500)
