@@ -26,9 +26,8 @@ from .sketch import (
     sketch_dataset,
     write_binary_matrix,
 )
-from .verify import SUITES, run_suite
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
     "__version__",
@@ -51,3 +50,13 @@ __all__ = [
     "SUITES",
     "run_suite",
 ]
+
+
+def __getattr__(name):
+    # The verifier and its oracles load on first use of these names, so
+    # plan, sketch and estimate never import them.
+    if name in ("SUITES", "run_suite"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

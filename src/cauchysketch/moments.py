@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import ti2
-
 __all__ = [
     "DeviationPair",
     "mu",
@@ -90,6 +88,9 @@ def expected_log1p(lam: float) -> float:
     extended by continuity to 0 at lambda = 0 (the ln(lambda) arctan(lambda)
     product has a removable singularity there). Nonnegative for all lambda.
     """
+    # Imported here, its only use, so plan, sketch and estimate never load specfun.
+    from .specfun import ti2
+
     lam = _check_lambda(lam)
     if lam == 0.0:
         return 0.0

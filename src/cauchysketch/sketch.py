@@ -292,17 +292,24 @@ def read_points(path, fmt: str) -> np.ndarray:
     raise ValueError(f"format must be 'csv' or 'bin', got {fmt!r}")
 
 
+# UTF-8, less a leading byte-order mark, which would otherwise make the
+# first field unparseable and a numeric first row look like a header.
+_CSV_ENCODING = "utf-8-sig"
+
+
 def read_csv_matrix(path) -> np.ndarray:
     """Parse comma-separated points, one per row, with numpy's loadtxt; a
     non-numeric first non-blank row is treated as a header and skipped.
 
     Fields are ASCII decimal or scientific notation, optionally quoted
-    with '"'; '#' is data, not a comment. Blank lines are skipped.
+    with '"'; '#' is data, not a comment. Blank lines are skipped. The
+    file is UTF-8, and a leading byte-order mark is dropped.
     """
     try:  # UnicodeDecodeError is a ValueError too
         skip = _header_lines(path)
         data = None if skip is None else np.loadtxt(
-            path, delimiter=",", comments=None, quotechar='"', skiprows=skip, ndmin=2
+            path, delimiter=",", comments=None, quotechar='"', skiprows=skip, ndmin=2,
+            encoding=_CSV_ENCODING,
         )
     except (ValueError, csv.Error) as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None
@@ -316,7 +323,7 @@ def read_csv_matrix(path) -> np.ndarray:
 def _header_lines(path) -> int | None:
     # Lines before the data: 0, or through the header when the first
     # non-blank row is not all numbers. None when no row holds data.
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding=_CSV_ENCODING) as handle:
         reader = csv.reader(handle)
         rows = (row for row in reader if row)
         first = next(rows, None)

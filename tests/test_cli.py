@@ -25,6 +25,7 @@ from cauchysketch.metric import rho
 from cauchysketch.moments import mu, mu_inverse
 from cauchysketch.sketch import _product_threads, read_binary_matrix, regime_tag, write_binary_matrix
 from cauchysketch.verify import SUITES
+from dispatch import assert_frozen
 from test_metric import _OBJECTS, _lane_bytes
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -450,8 +451,19 @@ class TestEstimateBytes:
         assert {line.split(b",")[-1] for line in table.splitlines()[1:]} == {
             b"large", b"small", b"really-small", b"unproven-upper"
         }
-        assert hashlib.sha256(table).hexdigest() == (
-            "f7c9b68a8093af2a846c936c3c36cff27a3b38ab0db92b1512172278dbf4bd8c"
+        # By the kernels numpy runs xi's log1p and mu_inverse's expm1 and
+        # exp on: the AVX-512 ones, and those of a CPU without AVX-512.
+        assert_frozen(
+            table,
+            {
+                "log1p:X86_V4 expm1:X86_V4 exp:X86_V4":
+                    "f7c9b68a8093af2a846c936c3c36cff27a3b38ab0db92b1512172278dbf4bd8c",
+                "log1p:baseline(X86_V2) expm1:baseline(X86_V2) exp:X86_V3":
+                    "752161dfa1ebfa532ac9d559f5f303ab249df6dd3ce0a4d2f0a3a12a549d69ba",
+            },
+            "log1p",
+            "expm1",
+            "exp",
         )
 
 
@@ -683,6 +695,45 @@ class TestVerifySuiteLanes:
         assert sorted(calls) == sorted(names[0] + names[1])
         for index in range(2):
             assert outcomes[index] == {name: name for name in names[index]}
+
+
+class TestColdStart:
+    """plan, sketch and estimate never load the verifier or its oracles;
+    the package root and verify still reach them."""
+
+    VERIFIER = ("cauchysketch.verify", "cauchysketch.quadrature", "cauchysketch.specfun")
+
+    @staticmethod
+    def _fresh(*argv, cwd):
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        return subprocess.run(
+            [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_path_commands_load_no_verifier(self, tmp_path):
+        (tmp_path / "points.csv").write_text("0,0\n1,2\n3,-1\n")
+        script = f"""
+import sys
+import cauchysketch.cli as cli
+assert cli.main(["plan", "--epsilon", "0.25", "--n", "20"]) == 0
+assert cli.main(["sketch", "--input", "points.csv", "--output", "sk.bin",
+                 "--epsilon", "0.25", "--k", "16"]) == 0
+assert cli.main(["estimate", "--input", "sk.bin", "--output", "pairs.csv"]) == 0
+print(sorted(set({self.VERIFIER!r}) & set(sys.modules)))
+import cauchysketch, cauchysketch.verify as verify
+print(cauchysketch.SUITES is verify.SUITES, cauchysketch.run_suite is verify.run_suite)
+"""
+        done = self._fresh("-c", script, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-2:] == ["[]", "True True"]
+
+    def test_unknown_suite_lists_the_suites(self, tmp_path):
+        done = self._fresh("-m", "cauchysketch.cli", "verify", "--suite", "nosuch", cwd=tmp_path)
+        assert done.returncode == 2
+        assert done.stderr == (
+            "error: unknown suite 'nosuch'; available: "
+            "concentration, maxbound, moments, planner, specfun, stability, tails\n"
+        )
 
 
 class TestSeedResolution:
