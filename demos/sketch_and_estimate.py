@@ -2,7 +2,7 @@
 
 Projects a handful of points through a seeded Cauchy matrix in one
 product, averages the nonlinear coordinate map over every pair of sketch
-rows to get rho (rho_pairs, in one call), then inverts the
+rows to get rho (rho_blocks, a block of pairs at a time), then inverts the
 calibration curve to estimate each true l1 distance. At desk-scale k
 the estimates land within a few percent; the planner's k for eps = 0.25
 would be far larger because it must also survive a union bound over all
@@ -11,7 +11,7 @@ pairs.
 
 import numpy as np
 
-from cauchysketch import RngSeed, mu_inverse, rho_pairs, sketch_dataset
+from cauchysketch import RngSeed, mu_inverse, rho_blocks, sketch_dataset
 
 rng = np.random.default_rng(7)
 points = rng.uniform(-3.0, 3.0, size=(6, 40))
@@ -23,8 +23,9 @@ print(f"sketched down to k = {k} coordinates per point: one {sketched.shape} arr
 print()
 
 print(f"{'pair':>6} {'true l1':>9} {'estimate':>9} {'rel err':>8}")
-# one estimate per pair i < j, in row-major order
-estimates = mu_inverse(rho_pairs(sketched)).tolist()
+# one estimate per pair i < j, in row-major order; each block of rho
+# values is inverted before the next one overwrites it
+estimates = [e for _, _, rhos in rho_blocks(sketched) for e in mu_inverse(rhos).tolist()]
 pairs = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
 worst = 0.0
 for (i, j), estimate in zip(pairs, estimates):

@@ -15,7 +15,7 @@ bounds, oracles and helpers behind it live in the submodules.
 
 from .cauchy import RngSeed
 from .concentration import InfeasibleParameterError, max_abs_plan, plan_dimension
-from .metric import rho, rho_pairs, xi
+from .metric import rho, rho_blocks, xi
 from .moments import mu, mu_inverse
 from .sketch import (
     DatasetFormatError,
@@ -27,7 +27,7 @@ from .sketch import (
     write_binary_matrix,
 )
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 __all__ = [
     "__version__",
@@ -43,7 +43,7 @@ __all__ = [
     "write_binary_matrix",
     "xi",
     "rho",
-    "rho_pairs",
+    "rho_blocks",
     "mu",
     "mu_inverse",
     "regime_tag",

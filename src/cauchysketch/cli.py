@@ -66,7 +66,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"k = ceil(ln(2/delta) * max rate reciprocal) = {plan.k}")
     if args.output:
         payload = {"type": "chernoff-plan", **dataclasses.asdict(plan)}
-        with open(args.output, "w") as handle:
+        with _output(args.output) as handle:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
     return 0
 
@@ -112,8 +112,7 @@ def _write_sketch(path, coords, metadata) -> None:
     matrix beside a stale sidecar. Temp files do not outlive an error.
     """
     sidecar = path + ".json"
-    matrix_tmp, sidecar_tmp = (f"{name}.{os.getpid()}.tmp" for name in (path, sidecar))
-    try:
+    with _temp_files(path, sidecar) as (matrix_tmp, sidecar_tmp):
         write_binary_matrix(matrix_tmp, coords)
         with open(sidecar_tmp, "w") as handle:
             handle.write(json.dumps(metadata, sort_keys=True) + "\n")
@@ -121,10 +120,34 @@ def _write_sketch(path, coords, metadata) -> None:
             os.unlink(sidecar)
         os.replace(matrix_tmp, path)
         os.replace(sidecar_tmp, sidecar)
+
+
+@contextlib.contextmanager
+def _temp_files(*paths):
+    """A temp file name beside each of ``paths``; none outlives the block."""
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield temps
     finally:
-        for name in (matrix_tmp, sidecar_tmp):
+        for name in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(name)
+
+
+@contextlib.contextmanager
+def _output(path):
+    """A text handle on the --output file ``path``: a temp file beside it
+    that replaces it once complete, so an error leaves the old file whole,
+    or, for a symlink or an existing target that is not a regular file (a
+    FIFO, /dev/stdout), the target itself, written through the link."""
+    if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+        with open(path, "w") as handle:
+            yield handle
+        return
+    with _temp_files(path) as (temp,):
+        with open(temp, "w") as handle:
+            yield handle
+        os.replace(temp, path)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -161,7 +184,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             f"rho of the column spreads is {bound!r}, above mu(float max) = {_MU_MAX!r}, "
             "so a pair may have no finite estimate; rescale the sketch"
         )
-    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as handle:
+    with _output(args.output) if args.output else contextlib.nullcontext(sys.stdout) as handle:
         handle.write("i,j,rho,estimate,regime\n")
         for i, j, rhos in rho_blocks(coords):
             estimates = mu_inverse(rhos)
@@ -212,7 +235,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 if not case["pass"]:
                     print(f"  FAIL {case['case']}: value {case['oracle']!r} vs {case['closed_form']!r}")
     if args.output:
-        with open(args.output, "w") as handle:
+        with _output(args.output) as handle:
             handle.write("\n".join(lines) + "\n")
     return 0 if all_pass else 1
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cauchy import _TILE, _in_two_lanes, _lanes
 
-__all__ = ["xi", "rho", "rho_pairs", "rho_blocks"]
+__all__ = ["xi", "rho", "rho_blocks"]
 
 # Pairs in one block of rho_blocks, and so in one block of the estimate
 # table: estimate holds the sketch and one block of rho values, estimates,
@@ -94,61 +94,39 @@ def rho(u, v):
     return float(means[0]) if u.ndim == 1 else means
 
 
-def rho_pairs(coords) -> np.ndarray:
-    """rho of every pair of rows of an (N, k) sketch, N >= 2: the
-    N(N-1)/2 values rho(coords[i], coords[j]) for i < j in row-major order
-    (pair (0, 1) first, then (0, 2), ..., (N-2, N-1)), each with the bits
-    of that single call. A difference that is not finite raises ValueError.
-
-    The values are filled block by block by rho_blocks, straight into the
-    result, so besides coords the call holds the result and, per lane, at
-    most 2 max(_TILE, k) floats and numpy's ufunc buffer.
-    """
-    coords = _as_sketch(coords, "rho_pairs")
-    n = len(coords)
-    rhos = np.empty(n * (n - 1) // 2)
-    for _ in rho_blocks(coords, rhos):
-        pass
-    return rhos
-
-
-def rho_blocks(coords, out=None):
-    """rho of every pair of rows of an (N, k) sketch, N >= 2, in the order
-    and with the bits of rho_pairs, a block of at most _BLOCK_PAIRS pairs
-    at a time.
-
-    Yields (i, j, values) for each block: (i, j) is its first pair and
-    values the rho of its pairs. values is the block's slice of ``out``
-    when a float64 out of shape (N(N-1)/2,) is given, else a buffer of
-    at most _BLOCK_PAIRS floats that the next block overwrites. Blocks
-    start and end at any pair, inside a row or not; _row_segments walks
-    one. A difference that is not finite raises ValueError before its
-    block is yielded.
+def rho_blocks(coords):
+    """rho of every pair of rows of an (N, k) sketch, N >= 2: yields
+    (i, j, values) for each block of at most _BLOCK_PAIRS pairs, where
+    (i, j) is the block's first pair and values the rho of its pairs, in
+    i < j row-major order (pair (0, 1) first, ..., (N-2, N-1)), each with
+    the bits of that single rho call. values is one buffer, which the
+    next block overwrites. Blocks start and end at any pair, inside a row
+    or not; _row_segments walks one. A difference that is not finite
+    raises ValueError before its block is yielded.
 
     Each row segment of a block runs a stack of _TILE // k rows (at least
-    one) at a time. A block of 2^18 or more differences, with
-    two CPUs, is cut at its middle pair and the halves run on two threads.
-    Each lane allocates its two scratch tiles once, so besides coords and
-    out the blocks hold one buffer and, per lane, at most 2 max(_TILE, k)
-    floats and numpy's ufunc buffer.
+    one) at a time. A block of 2^18 or more differences, with two CPUs,
+    is cut at its middle pair and the halves run on two threads. Each
+    lane allocates its two scratch tiles once, so besides coords the
+    blocks hold one buffer and, per lane, at most 2 max(_TILE, k) floats
+    and numpy's ufunc buffer, whatever N is.
     """
-    coords = _as_sketch(coords, "rho_blocks")
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[0] < 2 or coords.shape[1] == 0:
+        raise ValueError(f"rho_blocks needs an (N, k) array with N >= 2 and k >= 1, got {coords.shape}")
     n, k = coords.shape
     total = n * (n - 1) // 2
-    if out is not None and out.shape != (total,):
-        raise ValueError(f"rho_blocks needs an out of shape ({total},), got {out.shape}")
     size = min(_BLOCK_PAIRS, total)
-    buffer = np.empty(size) if out is None else None
+    buffer = np.empty(size)
     # The first block is the largest, so it takes the most lanes.
     scratch = [_scratch(min(n - 1, size), k) for _ in range(_lanes(size * k))]
     i, j = 0, 1
     for lo in range(0, total, size):
-        count = min(size, total - lo)
-        values = buffer[:count] if out is None else out[lo : lo + count]
-        if _lanes(count * k) == 1:
+        values = buffer[: min(size, total - lo)]
+        if _lanes(values.size * k) == 1:
             _rho_span(coords, i, j, values, *scratch[0])
         else:
-            half = count // 2
+            half = values.size // 2
             second = _advance(n, i, j, half)
             _in_two_lanes(
                 lambda: _rho_span(coords, i, j, values[:half], *scratch[0]),
@@ -156,7 +134,7 @@ def rho_blocks(coords, out=None):
             )
         _check_finite(values)
         yield i, j, values
-        i, j = _advance(n, i, j, count)
+        i, j = _advance(n, i, j, values.size)
 
 
 def _rho_bound(coords) -> float:
@@ -168,13 +146,6 @@ def _rho_bound(coords) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         spread = coords.max(axis=0) - coords.min(axis=0)
     return rho(spread, np.zeros_like(spread))
-
-
-def _as_sketch(coords, caller: str) -> np.ndarray:
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[0] < 2 or coords.shape[1] == 0:
-        raise ValueError(f"{caller} needs an (N, k) array with N >= 2 and k >= 1, got {coords.shape}")
-    return coords
 
 
 def _row_segments(n: int, i: int, j: int, count: int):
@@ -208,7 +179,7 @@ def _rho_span(coords, i: int, j: int, out, diff, root) -> None:
 def _block_rows(k: int) -> int:
     # Rows of length k in one block: _TILE differences, or one longer row.
     # Smaller blocks cost more in per-block Python work than they gain in
-    # cache: on a 2-vCPU x86-64 VM, rho_pairs at N = 200, k = 1024 took
+    # cache: on a 2-vCPU x86-64 VM, all pairs at N = 200, k = 1024 took
     # 12-15% longer with blocks of 2^15 differences and 35% with 2^14.
     return max(1, _TILE // k)
 

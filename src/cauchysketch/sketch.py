@@ -253,10 +253,11 @@ def regime_tag(estimate, epsilon: float, lambda0: float):
     proven (really-small), between lambda0 and 8 eps^2 the upper tail is
     an open case (unproven-upper). An estimate of 0 (duplicate rows) is
     really-small whatever lambda0 is; lambda0 itself must be finite and
-    >= 0 (a plan's lambda0 can underflow to 0). The classification uses the
-    estimate itself since the true distance is unknown. A float gives
-    one tag; an array gives an object array of its shape holding the
-    tags.
+    >= 0 (a plan's lambda0 can underflow to 0). The tag is read from the
+    estimate, not the unknown true distance, and names a guarantee only
+    when the sketch's k is at least plan_dimension's k; below that, or
+    near a cutoff, it names only the estimate's regime. A float gives one
+    tag; an array gives an object array of its shape holding the tags.
     """
     est = np.asarray(estimate, dtype=np.float64)
     bad = np.isnan(est) | (est < 0.0)
@@ -299,7 +300,7 @@ _CSV_ENCODING = "utf-8-sig"
 
 def read_csv_matrix(path) -> np.ndarray:
     """Parse comma-separated points, one per row, with numpy's loadtxt; a
-    non-numeric first non-blank row is treated as a header and skipped.
+    first non-blank row with a text field is a header and is skipped.
 
     Fields are ASCII decimal or scientific notation, optionally quoted
     with '"'; '#' is data, not a comment. Blank lines are skipped. The
@@ -321,27 +322,31 @@ def read_csv_matrix(path) -> np.ndarray:
 
 
 def _header_lines(path) -> int | None:
-    # Lines before the data: 0, or through the header when the first
-    # non-blank row is not all numbers. None when no row holds data.
+    # Lines before the data: through the header when the first non-blank
+    # row is one, else 0. None when no row holds data.
     with open(path, newline="", encoding=_CSV_ENCODING) as handle:
         reader = csv.reader(handle)
         rows = (row for row in reader if row)
         first = next(rows, None)
         if first is None:
             return None
-        if _all_numeric(first):
+        if not _is_header(first):
             return 0
         header_lines = reader.line_num
         return header_lines if next(rows, None) is not None else None
 
 
-def _all_numeric(row) -> bool:
+def _is_header(row) -> bool:
+    # Some field, less surrounding spaces and quotes, is neither empty nor
+    # a number. loadtxt takes any other row as data, as any later row.
     try:
         for field in row:
-            float(field)
+            field = field.strip(' "')
+            if field:
+                float(field)
     except ValueError:
-        return False
-    return True
+        return True
+    return False
 
 
 def read_binary_matrix(path) -> np.ndarray:

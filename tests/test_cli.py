@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -156,6 +157,26 @@ class TestSketch:
             ["sketch", "--input", str(lonely), "--output", str(tmp_path / "y.bin"),
              "--epsilon", "0.25", "--k", "4"]
         ) == 3
+
+    @pytest.mark.parametrize("first", ["1,2,3,", "1,,3", '"1", "2",3'], ids=["trailing", "empty", "spaced"])
+    def test_first_row_with_an_empty_or_malformed_field_exits_3(self, tmp_path, capsys, first):
+        # Stripped of spaces and quotes, each field is a number or empty,
+        # so the row is data, not a header, and fails as a later row would.
+        path = tmp_path / "points.csv"
+        path.write_text(f"{first}\n4,5,6\n7,8,9\n")
+        out = tmp_path / "sk.bin"
+        assert main(["sketch", "--input", str(path), "--output", str(out), "--epsilon", "0.25",
+                     "--k", "4"]) == 3
+        assert "at row 0, column" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_with_an_empty_field_is_skipped(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("x,,z\n1,2,3\n4,5,6\n")
+        out = tmp_path / "sk.bin"
+        assert main(["sketch", "--input", str(path), "--output", str(out), "--epsilon", "0.25",
+                     "--k", "4"]) == 0
+        assert json.loads((tmp_path / "sk.bin.json").read_text())["n_points"] == 2
 
     @pytest.mark.parametrize("failing_replace", [1, 2])
     def test_interrupted_write_leaves_no_stale_sidecar(
@@ -557,6 +578,78 @@ class TestEstimateBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= coords.nbytes + _lane_bytes(8) + 48 * metric_module._BLOCK_PAIRS * 8 + _OBJECTS
+
+
+class TestOutputFiles:
+    """--output files are written beside the target and renamed over it
+    once complete; a target that is not a regular file is written in place."""
+
+    def test_failed_estimate_leaves_the_old_table(self, tmp_path, monkeypatch, capsys):
+        # 200 points give 19,900 pairs in 5 blocks; writing the third
+        # block's second row segment fails.
+        rng = np.random.default_rng(29)
+        sk = _write_sketch(tmp_path / "sk.bin", rng.standard_normal((200, 64)))
+        out = tmp_path / "pairs.csv"
+        assert main(["estimate", "--input", sk, "--output", str(out)]) == 0
+        old = out.read_bytes()
+        real_rows = cli_module._table_rows
+        blocks = []
+
+        def rows(*args):
+            blocks.append(args[1:3])
+            for number, segment in enumerate(real_rows(*args)):
+                if len(blocks) == 3 and number == 1:
+                    raise OSError("No space left on device")
+                yield segment
+
+        monkeypatch.setattr(cli_module, "_table_rows", rows)
+        capsys.readouterr()
+        assert main(["estimate", "--input", sk, "--output", str(out)]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(blocks) == 3
+        assert out.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["pairs.csv", "sk.bin", "sk.bin.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "--epsilon", "0.25", "--n", "100"],
+         ["verify", "--suite", "specfun", "--trials", "0"]],
+        ids=["plan", "verify"],
+    )
+    def test_fifo_is_written_in_place(self, tmp_path, capsys, argv):
+        regular, fifo = tmp_path / "out.txt", tmp_path / "out.fifo"
+        assert main([*argv, "--output", str(regular)]) == 0
+        os.mkfifo(fifo)
+        # A reader opened first lets the write open at once; the output
+        # fits in the pipe's buffer.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main([*argv, "--output", str(fifo)]) == 0
+            written = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert written == regular.read_bytes()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["out.fifo", "out.txt"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "--epsilon", "0.25", "--n", "100"],
+         ["verify", "--suite", "specfun", "--trials", "0"]],
+        ids=["plan", "verify"],
+    )
+    def test_symlink_is_written_through(self, tmp_path, capsys, argv):
+        # As /dev/stdout redirected to a file: the link stays a link and
+        # its regular target gets the bytes.
+        regular, target, link = (tmp_path / name for name in ("out.txt", "target.txt", "out.link"))
+        assert main([*argv, "--output", str(regular)]) == 0
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main([*argv, "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == regular.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["out.link", "out.txt", "target.txt"]
 
 
 class TestVerifyCommand:

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import cauchysketch.cauchy as cauchy_module
 import cauchysketch.metric as metric_module
 from cauchysketch.cauchy import RngSeed, make_generator, sample_standard_cauchy
-from cauchysketch.metric import _xi_small_envelope, rho, rho_blocks, rho_pairs, xi
+from cauchysketch.metric import _xi_small_envelope, rho, rho_blocks, xi
 from cauchysketch.moments import mu_inverse
 from cauchysketch.sketch import sketch_dataset
 
@@ -296,7 +296,7 @@ def _cauchy_coords(n: int, k: int) -> np.ndarray:
     return sample_standard_cauchy(rng, n * k).reshape(n, k)
 
 
-# Bytes a rho_pairs lane or a rho call may hold: its two scratch tiles and
+# Bytes a rho_blocks lane or a rho call may hold: its two scratch tiles and
 # the 8192-element buffer numpy's ufunc machinery allocates for a
 # subtraction that broadcasts v over rows shorter than that buffer.
 def _lane_bytes(k: int) -> int:
@@ -307,8 +307,14 @@ def _lane_bytes(k: int) -> int:
 _OBJECTS = 16_384
 
 
+def _pair_calls(coords) -> np.ndarray:
+    n = len(coords)
+    return np.array([rho(coords[j], coords[i]) for i in range(n) for j in range(i + 1, n)])
+
+
 class TestRhoPairs:
-    """rho_pairs(coords) is rho of every pair i < j of rows, row-major."""
+    """rho_blocks(coords) yields rho of every pair i < j of rows, row-major,
+    a block at a time."""
 
     @pytest.mark.parametrize("k", [1, 5000, 2**16 + 3])
     @pytest.mark.parametrize("n", [2, 3, 70])
@@ -317,34 +323,41 @@ class TestRhoPairs:
         # k = 2^16 a block is one row. At n = 70 and k >= 5000 two lanes
         # run when the program may use them.
         coords = _cauchy_coords(n, k)
-        reference = np.array([rho(coords[j], coords[i]) for i in range(n) for j in range(i + 1, n)])
+        reference = _pair_calls(coords)
         for lanes in (1, 2):
             monkeypatch.setattr(cauchy_module, "_LANES", lanes)
-            values = rho_pairs(coords)
+            values = np.concatenate([block.copy() for _, _, block in rho_blocks(coords)])
             assert values.shape == (n * (n - 1) // 2,)
             assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_overflow_in_second_lane_rows_raises(self, monkeypatch, lanes):
-        # 4,950 pairs x k = 64 take two lanes, and the second lane takes
-        # rows i from 30 on; only the pair (98, 99) overflows.
+        # 4,950 pairs x k = 64 are a first block of 4,096 pairs, which
+        # takes two lanes whose second starts at pair 2,048 (row 23), and
+        # a second block of 854 pairs. Pair (40, 41) is pair 3,180, in the
+        # first block's second half; pair (98, 99) is the last pair.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
-        coords = _cauchy_coords(100, 64)
-        coords[98, 0], coords[99, 0] = 1e308, -1e308
-        assert cauchy_module._lanes(4950 * 64) == lanes
-        with pytest.raises(ValueError, match="rho needs rows whose differences are finite"):
-            rho_pairs(coords)
+        assert cauchy_module._lanes(4096 * 64) == lanes
+        for i, yielded in ((40, 0), (98, 1)):
+            coords = _cauchy_coords(100, 64)
+            coords[i, 0], coords[i + 1, 0] = 1e308, -1e308
+            blocks = rho_blocks(coords)
+            for _ in range(yielded):
+                next(blocks)
+            with pytest.raises(ValueError, match="rho needs rows whose differences are finite"):
+                next(blocks)
 
     @pytest.mark.parametrize("lanes", [1, 2])
     @pytest.mark.parametrize("block", [1, 7, 4096])
     @pytest.mark.parametrize("n, k", [(30, 5000), (9, 2**16 + 3)])
     def test_blocks_are_pieces_of_rho_pairs(self, monkeypatch, n, k, block, lanes):
-        # At k = 5000 blocks of 7 pairs end inside rows, and on two lanes
-        # the one block of all 435 pairs is cut inside row 8. At
+        # The blocks of any size, on any lanes, are pieces of the per-pair
+        # values. At k = 5000 blocks of 7 pairs end inside rows, and on
+        # two lanes the one block of all 435 pairs is cut inside row 8. At
         # k = 2^16 + 3, on two lanes, a block of 7 or more pairs is cut
         # inside a row.
         coords = _cauchy_coords(n, k)
-        whole = rho_pairs(coords)
+        whole = _pair_calls(coords)
         monkeypatch.setattr(metric_module, "_BLOCK_PAIRS", block)
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -356,7 +369,6 @@ class TestRhoPairs:
         assert 0 < len(pieces[-1]) <= block
         assert starts == pairs[::block]
         assert np.array_equal(np.concatenate(pieces).view(np.uint64), whole.view(np.uint64))
-        assert np.array_equal(rho_pairs(coords).view(np.uint64), whole.view(np.uint64))
 
     @pytest.mark.parametrize(
         "coords",
@@ -364,33 +376,33 @@ class TestRhoPairs:
         ids=["1-d", "3-d", "one row", "no rows", "empty rows"],
     )
     def test_rejects_shapes(self, coords):
-        with pytest.raises(ValueError, match="rho_pairs needs an"):
-            rho_pairs(coords)
-
-    def test_blocks_reject_an_out_of_another_shape(self):
-        with pytest.raises(ValueError, match=r"rho_blocks needs an out of shape \(6,\)"):
-            next(rho_blocks(np.zeros((4, 2)), np.empty(5)))
+        with pytest.raises(ValueError, match="rho_blocks needs an"):
+            next(rho_blocks(coords))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_coordinates(self, bad):
         coords = _cauchy_coords(5, 3)
         coords[4, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            rho_pairs(coords)
+            next(rho_blocks(coords))
 
     @pytest.mark.parametrize("lanes", [1, 2])
-    @pytest.mark.parametrize("n, k", [(2, 5000), (70, 5000), (400, 64), (5, 2**16 + 3)])
+    @pytest.mark.parametrize("n, k", [(2, 5000), (70, 5000), (400, 64), (800, 64), (5, 2**16 + 3)])
     def test_holds_output_and_two_tiles_per_lane(self, monkeypatch, lanes, n, k):
+        # The output is one block buffer, reused, so the bound does not
+        # grow with N: at k = 64, N = 400 and 800 give 79,800 and 319,600
+        # pairs, 20 and 79 blocks, under the same bound.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
         coords = _cauchy_coords(n, k)
-        used = cauchy_module._lanes(n * (n - 1) // 2 * k)
+        used = cauchy_module._lanes(min(metric_module._BLOCK_PAIRS, n * (n - 1) // 2) * k)
         tracemalloc.start()
         try:
-            values = rho_pairs(coords)
+            for _ in rho_blocks(coords):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= values.nbytes + used * _lane_bytes(k) + _OBJECTS
+        assert peak <= 8 * metric_module._BLOCK_PAIRS + used * _lane_bytes(k) + _OBJECTS
 
     def test_stack_holds_its_values_and_two_tiles(self):
         # rho(U, v) holds no (m, k) array of differences.
