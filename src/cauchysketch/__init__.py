@@ -27,7 +27,7 @@ from .sketch import (
     write_binary_matrix,
 )
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 __all__ = [
     "__version__",

@@ -14,9 +14,8 @@ the buffer the uniforms were drawn into. Generator.random is uniform on
 [0, 1), and its u = 0 maps to tan of -pi/2 rounded to float64, the
 finite -1.633123935319537e16, so the transform has no pole to avoid and
 draw i is a function of uniform i alone: a stream cut into pieces gives
-the same values as one draw. That is what lets the Monte Carlo row map
-draw its rows, and the sketch each block of its matrix, on two threads
-at once (see _split_stream).
+the same values as one draw. That is what lets the sketch draw each
+block of its matrix on two threads at once (see _split_stream).
 Streams come from numpy's PCG64 seeded through SeedSequence(entropy=seed,
 spawn_key=(stream_id,)), which is documented to be deterministic across
 platforms; the generator identity travels with sketch metadata so
@@ -51,12 +50,13 @@ _U64_MAX = 2**64 - 1
 
 
 # Lanes, the threads split work runs on: the CPUs this process may run on,
-# at most 2. Three loops split their work over them (the Monte Carlo row
-# map, which cuts its rows in two, metric.rho_blocks, which cuts each
-# block of pairs at its middle pair, and sketch_dataset, which cuts each
-# block of F's rows in two), and `verify --suite all` runs whole suites
-# on them. Every loop writes the same bits at any lane count; inside a
-# lane it runs on that lane alone (see _lanes).
+# at most 2. They start in three places, one level deep:
+# metric.rho_blocks cuts each block of pairs at its middle pair,
+# sketch_dataset cuts each block of F's rows in two, whose products run
+# on one BLAS thread, and `verify --suite all` runs whole suites on them
+# (see _in_two_lanes). Nothing a lane runs starts a lane, so a single
+# suite or a direct Monte Carlo call runs on one CPU. Every output has
+# the same bits at any lane count.
 _LANES = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -65,19 +65,13 @@ _LANES = min(
 _LANE_MIN_ELEMENTS = 2**18
 # Elements a kernel transforms per step while they sit in cache (512 KB);
 # also the draws in one tile of whole rows of the Monte Carlo routines
-# (_map_rows), so none of them holds a rows x width draw array.
+# (_map_rows), which reuse one tile, so none of them holds a rows x width
+# draw array.
 _TILE = 2**16
 
 
-# Set on the threads of a running _in_two_lanes; _lanes reads it.
-_lane = threading.local()
-
-
 def _lanes(elements: int) -> int:
-    """Lanes a loop over this many elements is split over: 1 or 2. On a
-    thread that already runs a lane it is 1, so lanes never nest."""
-    if getattr(_lane, "active", False):
-        return 1
+    """Lanes a loop over this many elements is split over: 1 or 2."""
     return _LANES if elements >= _LANE_MIN_ELEMENTS else 1
 
 
@@ -86,35 +80,23 @@ def _in_two_lanes(first, second) -> None:
     for both, then raise the caller's exception, or else the worker's.
 
     numpy's ufuncs, Generator fills and matmul release the GIL, so two
-    lanes over disjoint slices of one array use two CPUs. Lanes start in
-    the Monte Carlo row map (_map_rows), in metric.rho_blocks, once per
-    block of pairs, in sketch.sketch_dataset, once per block of F's rows,
-    whose products run on one BLAS thread, and in cli's verify, which
-    runs whole suites on them. Both threads are marked as lanes until
-    both finish (the caller's old mark comes back after), and _lanes is
-    1 on a marked thread, so a loop inside a lane runs on that lane alone
-    and lanes never nest.
+    lanes over disjoint slices of one array use two CPUs. Nothing either
+    lane runs starts a lane (see _LANES).
     """
     failure = []
 
     def run() -> None:
-        _lane.active = True
         try:
             second()
         except BaseException as exc:  # re-raised in the caller
             failure.append(exc)
 
-    outer = getattr(_lane, "active", False)
-    _lane.active = True
     worker = threading.Thread(target=run)
+    worker.start()
     try:
-        worker.start()
-        try:
-            first()
-        finally:
-            worker.join()
+        first()
     finally:
-        _lane.active = outer
+        worker.join()
     if failure:
         raise failure[0]
 
@@ -207,28 +189,11 @@ def _map_rows(rng: np.random.Generator, width: int, out: np.ndarray, fn) -> None
     rows give into its slice of the caller's ``out``.
 
     A tile holds at most _TILE draws (512 KB), or one row when a row is
-    wider, in a buffer its lane reuses; fn may overwrite the tile. From
-    2^18 draws on, with two CPUs, the rows of a PCG64 stream are cut in two
-    at a row edge and the second half is drawn from a jump-ahead copy of
-    rng (see _split_stream), so fn runs on two threads at once; other bit
-    generators are drawn serially. When fn computes each row from its own
-    draws alone, out has the bits of one serial pass whatever the tile size
-    and lane count.
+    wider, in one buffer that every tile reuses; fn may overwrite the tile.
+    It all runs on the caller's thread. When fn computes each row from its
+    own draws alone, out has the bits of one pass over all rows whatever
+    the tile size.
     """
-    rows = len(out)
-    if rows < 2 or _lanes(rows * width) == 1 or type(rng.bit_generator) is not np.random.PCG64:
-        _map_tiles(rng, width, out, fn)
-        return
-    cut = rows // 2
-    _split_stream(
-        rng,
-        cut * width,
-        lambda g: _map_tiles(g, width, out[:cut], fn),
-        lambda g: _map_tiles(g, width, out[cut:], fn),
-    )
-
-
-def _map_tiles(rng: np.random.Generator, width: int, out: np.ndarray, fn) -> None:
     per_tile = max(1, _TILE // width)
     buffer = np.empty(min(per_tile, len(out)) * width)
     for lo in range(0, len(out), per_tile):
@@ -264,7 +229,7 @@ def stable_combination(v, rng: np.random.Generator, size: int) -> np.ndarray:
     distributed as ||v||_1 X and consuming len(v) consecutive draws of the
     stream. Each sum is a function of its own draws alone, so the first m
     sums of a call equal a call of size m; the call holds the sums and one
-    tile of draws per lane (see _map_rows)."""
+    tile of draws (see _map_rows)."""
     v = np.asarray(v, dtype=np.float64).ravel()
     if v.size == 0:
         raise ValueError("stable_combination requires a non-empty vector")

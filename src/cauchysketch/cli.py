@@ -124,10 +124,16 @@ def _write_sketch(path, coords, metadata) -> None:
 
 @contextlib.contextmanager
 def _temp_files(*paths):
-    """A temp file name beside each of ``paths``; none outlives the block."""
+    """A temp file name beside each of ``paths``; none outlives the block,
+    and an OSError on one names its path instead."""
     temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
         yield temps
+    except OSError as exc:
+        if exc.filename not in temps:
+            raise
+        # OSError picks the subclass from errno; a temp only ever goes to its path.
+        raise OSError(exc.errno, exc.strerror, paths[temps.index(exc.filename)]) from exc
     finally:
         for name in temps:
             with contextlib.suppress(FileNotFoundError):
@@ -244,8 +250,8 @@ def _run_suites(names, seed, trials) -> dict:
     """The report of each named suite, or the exception it raised, by name.
 
     Several suites on two CPUs run over the two lanes: each lane takes
-    the next of ``names`` (given heaviest first) as it frees, and within
-    a lane every loop runs on that lane alone. Otherwise they run in turn.
+    the next of ``names`` (given heaviest first) as it frees, and nothing
+    a suite runs starts a lane. Otherwise they run in turn.
     """
     pending = iter(names)
     lock = threading.Lock()

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cauchy
 from .cauchy import (
     RngSeed,
     _check_count,
@@ -69,7 +69,7 @@ _K_LIMIT = 32768
 
 # Draws in one chunk of a tails case. Each case reduces its n draws a chunk
 # at a time, to exceedance counts or to a sum and a centred sum of squares,
-# so the suite holds a chunk per lane and n / _TAIL_CHUNK rows of partials,
+# so the suite holds a tile of chunks and n / _TAIL_CHUNK rows of partials,
 # never an array of n. Its own constant, not cauchy._TILE, so that no
 # report depends on the tile size.
 _TAIL_CHUNK = 2**16
@@ -131,7 +131,7 @@ def run_concentration_trial(
         make_generator(seed),
         k,
         means,
-        lambda draws, dst: np.mean(xi(_scaled_abs(draws, lam)), axis=1, out=dst),
+        lambda draws, dst: np.mean(xi(_scaled_abs(draws, lam), out=draws), axis=1, out=dst),
     )
     fail_upper = int(np.count_nonzero(means > hi))
     fail_lower = int(np.count_nonzero(means < lo))
@@ -169,7 +169,6 @@ def empirical_k_search(
     drawn = 0  # columns drawn so far
     first = 0  # the first column of the newest segment
     exits = np.zeros(0, dtype=np.intp)
-    lock = threading.Lock()
 
     def extend(to_cols: int) -> None:
         nonlocal drawn, first, exits
@@ -177,14 +176,12 @@ def empirical_k_search(
         counts = np.zeros(columns.size, dtype=np.intp)
 
         def segment(draws, running) -> None:
-            prefix = xi(_scaled_abs(draws, lam))
+            prefix = xi(_scaled_abs(draws, lam), out=draws)
             np.cumsum(prefix, axis=1, out=prefix)
             prefix += running[:, None]
             running[:] = prefix[:, -1]
             prefix /= columns  # the trials' means at every k of the segment
-            hits = np.count_nonzero((prefix > hi_band) | (prefix < lo_band), axis=0)
-            with lock:  # the two lanes add into one array
-                np.add(counts, hits, out=counts)
+            np.add(counts, np.count_nonzero((prefix > hi_band) | (prefix < lo_band), axis=0), out=counts)
 
         _map_rows(rng, columns.size, sums, segment)
         drawn, first, exits = to_cols, drawn, counts
@@ -509,21 +506,18 @@ def _map_chunks(seed: RngSeed, n: int, columns: int, fn, dtype=np.float64) -> np
     fn gets an (r, width) array of whole chunks, which it may overwrite, a
     scratch array of its shape, and their (r, columns) rows of the
     partials; it must reduce each chunk from its own draws alone (see
-    cauchy._map_rows). Each lane allocates its scratch once and reuses it,
-    as _map_rows does its chunk buffer. With xi's values and the
-    differences in new 512 KB arrays per chunk instead, a tails run at
-    default trials took 27,000 page faults against 5,600, and 15-20% more
-    CPU time (one CPU of a 2-vCPU x86-64 VM).
+    cauchy._map_rows). One scratch as large as the largest tile serves
+    them all. With xi's values and the differences in new 512 KB arrays
+    per chunk instead, a tails run at default trials took 27,000 page
+    faults against 5,600, and 15-20% more CPU time (one CPU of a 2-vCPU
+    x86-64 VM).
     """
     rng = make_generator(seed)
     full, rest = divmod(n, _TAIL_CHUNK)
     partials = np.empty((full + (rest > 0), columns), dtype=dtype)
-    lane = threading.local()
+    scratch = np.empty(min(n, max(cauchy._TILE, _TAIL_CHUNK)))
 
     def reduce(draws, dst):
-        scratch = getattr(lane, "scratch", None)
-        if scratch is None or scratch.size < draws.size:
-            scratch = lane.scratch = np.empty(draws.size)
         fn(draws, scratch[: draws.size].reshape(draws.shape), dst)
 
     _map_rows(rng, _TAIL_CHUNK, partials[:full], reduce)

@@ -2,7 +2,6 @@
 and the KS machinery."""
 
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -15,9 +14,11 @@ from cauchysketch.cauchy import (
     GENERATOR_NAME,
     RngSeed,
     _check_count,
+    _fill_cauchy,
     _in_two_lanes,
     _lanes,
     _map_rows,
+    _split_stream,
     cdf_abs,
     ks_critical_value,
     ks_statistic,
@@ -27,8 +28,7 @@ from cauchysketch.cauchy import (
     survival_abs,
 )
 from cauchysketch.concentration import max_abs_plan, plan_dimension
-from cauchysketch.metric import rho_blocks
-from cauchysketch.sketch import _product_threads, build_projection, sketch_dataset
+from cauchysketch.sketch import build_projection, sketch_dataset
 from cauchysketch.verify import (
     empirical_k_search,
     run_concentration_trial,
@@ -353,8 +353,9 @@ class TestCountArguments:
 
 
 class TestLanes:
-    """The row map splits a large PCG64 draw over two lanes by jump-ahead;
-    the bits and the stream after the draw are those of one lane."""
+    """_split_stream draws a PCG64 stream on two lanes by jump-ahead; the
+    bits and the stream after the draw are those of one serial draw. The
+    row map splits nothing: it draws on its caller's thread."""
 
     @staticmethod
     def _draw(rng, size):
@@ -364,13 +365,22 @@ class TestLanes:
         return out.ravel()
 
     @pytest.mark.parametrize("size", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**16 + 5, 4_000_000])
-    def test_lanes_change_no_bits(self, monkeypatch, size):
+    def test_lanes_change_no_bits(self, size):
+        cut = size // 2
         results = []
-        for lanes in (1, 2):
-            monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        for split in (False, True):
             rng = make_generator(SEED)
             rng.integers(0, 10, dtype=np.uint32)  # leaves half a 64-bit output buffered
-            draws = self._draw(rng, size)
+            draws = np.empty(size)
+            if split:
+                _split_stream(
+                    rng,
+                    cut,
+                    lambda g: _fill_cauchy(g, draws[:cut]),
+                    lambda g: _fill_cauchy(g, draws[cut:]),
+                )
+            else:
+                _fill_cauchy(rng, draws)
             results.append((draws, rng.bit_generator.state, sample_standard_cauchy(rng, 77)))
         (one, state_one, next_one), (two, state_two, next_two) = results
         assert np.array_equal(one.view(np.uint64), two.view(np.uint64))
@@ -380,8 +390,8 @@ class TestLanes:
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
     def test_other_bit_generators_draw_in_one_lane(self, monkeypatch, bit_generator):
         # None of these jumps ahead by draws (Philox advances by blocks of
-        # four outputs); their streams are drawn serially, even where a
-        # PCG64 draw of the same size would split.
+        # four outputs); the row map draws their streams in order, as it
+        # does every stream, even with two lanes from one draw on.
         monkeypatch.setattr(cauchy_module, "_LANES", 2)
         monkeypatch.setattr(cauchy_module, "_LANE_MIN_ELEMENTS", 1)
         size = 2**18 + 3
@@ -393,15 +403,8 @@ class TestLanes:
 
 
 class TestLaneNesting:
-    """A thread running a lane splits nothing further: _lanes is 1 on
-    both lanes, and the lane count comes back when they finish."""
-
-    def test_lanes_is_one_inside_both_lanes(self, monkeypatch):
-        monkeypatch.setattr(cauchy_module, "_LANES", 2)
-        seen = []
-        _in_two_lanes(lambda: seen.append(_lanes(2**20)), lambda: seen.append(_lanes(2**20)))
-        assert seen == [1, 1]
-        assert _lanes(2**20) == 2
+    """Lanes start one level deep and leave nothing behind: the caller
+    gets a lane's exception, and the lane count stays as it was."""
 
     @pytest.mark.parametrize("failing", ["first", "second"])
     def test_lane_count_comes_back_after_an_exception(self, monkeypatch, failing):
@@ -416,61 +419,23 @@ class TestLaneNesting:
         with pytest.raises(ArithmeticError, match=failing):
             _in_two_lanes(lane("first"), lane("second"))
         assert _lanes(2**20) == 2
-        seen = []
-        thread = threading.Thread(target=lambda: seen.append(_lanes(2**20)))
-        thread.start()
-        thread.join()
-        assert seen == [2]
-
-    def test_loops_inside_a_lane_start_no_thread(self, monkeypatch):
-        # Outside a lane each loop below splits over two threads; inside
-        # one, the only thread started is the second lane's own.
-        monkeypatch.setattr(cauchy_module, "_LANES", 2)
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Counted)
-        coords = np.random.default_rng(4).standard_normal((100, 64))
-        points = np.random.default_rng(5).standard_normal((10, 4096))
-
-        def loops():
-            draws = np.empty((2**12, 64))
-            _map_rows(make_generator(SEED), 64, draws, lambda rows, dst: np.copyto(dst, rows))
-            return (
-                draws,
-                np.concatenate([values.copy() for _, _, values in rho_blocks(coords)]),
-                sketch_dataset(points, 128, SEED),
-            )
-
-        outside = loops()
-        assert len(started) >= 2 + (_product_threads() == 1)
-        started.clear()
-        inside = []
-        _in_two_lanes(lambda: inside.append(loops()), lambda: inside.append(loops()))
-        assert len(started) == 1
-        for result in inside:
-            for got, want in zip(result, outside):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMapRows:
-    """_map_rows draws tiles of whole rows, on one lane or two; every row
-    holds the draws of one serial draw whatever the tile size and lane
-    count, and the stream goes on from the same state."""
+    """_map_rows draws tiles of whole rows in one pass on the caller's
+    thread; every row holds the draws of one serial draw whatever the tile
+    size and the lanes the program may use, and the stream goes on from
+    the same state."""
 
     @pytest.mark.parametrize("lanes", [1, 2])
     @pytest.mark.parametrize(
         "tile, rows, width",
         [
-            (2**16, 1000, 64),  # 1,024 rows a tile: one partial tile a lane
-            (100, 37, 9),  # 11 rows a tile, the last tile of a lane partial
+            (2**16, 1000, 64),  # 1,024 rows a tile: one partial tile
+            (100, 37, 9),  # 11 rows a tile, the last tile partial
             (64, 13, 100),  # a row wider than a tile: one row a tile
-            (7, 2, 7),  # one row a tile and a lane
-            (5, 1, 3),  # one row takes one lane
+            (7, 2, 7),  # one row a tile
+            (5, 1, 3),  # one row
         ],
     )
     def test_rows_are_the_serial_draw(self, monkeypatch, lanes, tile, rows, width):
@@ -495,6 +460,4 @@ class TestMapRows:
         assert rng.bit_generator.state == expected_state
         assert np.array_equal(rng.random(5), expected_next)
         per_tile = max(1, tile // width)
-        parts = [rows] if lanes == 1 or rows < 2 else [rows // 2, rows - rows // 2]
-        tiles = [(min(per_tile, part - lo), width) for part in parts for lo in range(0, part, per_tile)]
-        assert sorted(shapes) == sorted(tiles)
+        assert shapes == [(min(per_tile, rows - lo), width) for lo in range(0, rows, per_tile)]

@@ -437,15 +437,18 @@ class TestEstimateLanes:
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_overflow_in_second_lane_rows_exits_2(self, sketch, monkeypatch, capsys, lanes):
-        # Only the pair (98, 99) overflows, in the second lane of the last
-        # block; the column spreads show it before the first block.
+        # Only the last pair, (98, 99), overflows. The spread of column 0
+        # is then not finite, so on one lane or two _rho_bound rejects the
+        # sketch before rho runs on any block, and no table byte is written.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
         coords = read_binary_matrix(sketch)
         coords[98, 0], coords[99, 0] = 1e308, -1e308
         write_binary_matrix(sketch, coords)
         capsys.readouterr()
         assert main(["estimate", "--input", sketch]) == 2
-        assert "rho needs rows whose differences are finite" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "rho needs rows whose differences are finite" in captured.err
+        assert captured.out == ""
 
 
 class TestEstimateBytes:
@@ -651,6 +654,38 @@ class TestOutputFiles:
         assert target.read_bytes() == regular.read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["out.link", "out.txt", "target.txt"]
 
+    @pytest.mark.parametrize("command", ["plan", "sketch", "estimate", "verify"])
+    def test_missing_directory_names_the_output(self, tmp_path, monkeypatch, capsys, command):
+        # The temp file beside a target in a missing directory cannot be
+        # opened; the error names the path given, not the temp.
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("points.csv", np.random.default_rng(31).standard_normal((5, 3)), delimiter=",")
+        sketch = ["sketch", "--input", "points.csv", "--epsilon", "0.25", "--k", "8"]
+        assert main([*sketch, "--output", "sk.bin"]) == 0
+        argv = {
+            "plan": ["plan", "--epsilon", "0.25", "--n", "100"],
+            "sketch": sketch,
+            "estimate": ["estimate", "--input", "sk.bin"],
+            "verify": ["verify", "--suite", "specfun", "--trials", "0"],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--output", "nodir/out"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] ")
+        assert err.endswith(": 'nodir/out'\n")
+        assert ".tmp" not in err
+        assert sorted(os.listdir(tmp_path)) == ["points.csv", "sk.bin", "sk.bin.json"]
+
+    def test_directory_target_names_the_output(self, tmp_path, monkeypatch, capsys):
+        # The sketch's temp is written, then cannot replace a directory.
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("points.csv", np.random.default_rng(31).standard_normal((5, 3)), delimiter=",")
+        os.mkdir("out")
+        argv = ["sketch", "--input", "points.csv", "--epsilon", "0.25", "--k", "8", "--output", "out"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'out'\n"
+        assert sorted(os.listdir(tmp_path)) == ["out", "points.csv"]
+
 
 class TestVerifyCommand:
     def test_single_suite_pass(self, capsys):
@@ -700,8 +735,9 @@ class TestVerifyCommand:
 
 
 class TestVerifySuiteLanes:
-    """verify --suite all runs whole suites over two lanes, and prints and
-    writes what one lane does, apart from the (N ms) of each suite."""
+    """verify --suite all runs whole suites over two lanes, one level deep,
+    and prints and writes what one lane does, apart from the (N ms) of
+    each suite."""
 
     @staticmethod
     def _verify(monkeypatch, capsys, lanes, *argv):
@@ -732,6 +768,16 @@ class TestVerifySuiteLanes:
         assert [line.split(":")[0] for line in stdout.splitlines() if line.startswith("suite")] == [
             f"suite {name}" for name in sorted(SUITES)
         ]
+
+    def test_all_suites_start_one_thread(self, monkeypatch, capsys):
+        # The second lane is the only thread: nothing a suite runs starts
+        # one, though its Monte Carlo calls draw millions of values.
+        monkeypatch.setattr(cauchy_module, "_LANES", 2)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        assert main(["verify", "--suite", "all", "--trials", "2000", "--seed", "20240817"]) == 0
+        assert len(started) == 1
 
     def test_first_failing_suite_in_name_order_raises(self, tmp_path, monkeypatch, capsys):
         # Two suites raise: on two lanes tails raises on the second lane
