@@ -15,7 +15,7 @@ the buffer the uniforms were drawn into. Generator.random is uniform on
 finite -1.633123935319537e16, so the transform has no pole to avoid and
 draw i is a function of uniform i alone: a stream cut into pieces gives
 the same values as one draw. That is what lets the sketch draw each
-block of its matrix on two threads at once (see _split_stream).
+block of its matrix in two halves, at once on two CPUs (see _split_stream).
 Streams come from numpy's PCG64 seeded through SeedSequence(entropy=seed,
 spawn_key=(stream_id,)), which is documented to be deterministic across
 platforms; the generator identity travels with sketch metadata so
@@ -50,13 +50,14 @@ _U64_MAX = 2**64 - 1
 
 
 # Lanes, the threads split work runs on: the CPUs this process may run on,
-# at most 2. They start in three places, one level deep:
-# metric.rho_blocks cuts each block of pairs at its middle pair,
-# sketch_dataset cuts each block of F's rows in two, whose products run
-# on one BLAS thread, and `verify --suite all` runs whole suites on them
-# (see _in_two_lanes). Nothing a lane runs starts a lane, so a single
-# suite or a direct Monte Carlo call runs on one CPU. Every output has
-# the same bits at any lane count.
+# at most 2. Work splits in three places, one level deep, each time into
+# the same two halves at any lane count: metric.rho_blocks cuts each
+# block of pairs at its middle pair, sketch_dataset each block of F's
+# rows (each product on one BLAS thread), and `verify` runs its suites on
+# two lanes that each take the next suite as it frees. Only _in_two_lanes
+# decides whether the second half runs on a worker thread or on the
+# caller after the first, so the lane count never changes what is
+# computed. Nothing a lane runs starts a lane.
 _LANES = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -75,14 +76,20 @@ def _lanes(elements: int) -> int:
     return _LANES if elements >= _LANE_MIN_ELEMENTS else 1
 
 
-def _in_two_lanes(first, second) -> None:
-    """Run second() on a worker thread while the caller runs first(); wait
-    for both, then raise the caller's exception, or else the worker's.
+def _in_two_lanes(first, second, elements=None) -> None:
+    """Run first() and then second() on the caller when ``elements`` take
+    one lane (see _lanes; None counts as large work); otherwise run
+    second() on a worker thread while the caller runs first(), and wait
+    for both. first()'s exception surfaces, or else second()'s.
 
     numpy's ufuncs, Generator fills and matmul release the GIL, so two
     lanes over disjoint slices of one array use two CPUs. Nothing either
     lane runs starts a lane (see _LANES).
     """
+    if _lanes(_LANE_MIN_ELEMENTS if elements is None else elements) == 1:
+        first()
+        second()
+        return
     failure = []
 
     def run() -> None:
@@ -101,20 +108,20 @@ def _in_two_lanes(first, second) -> None:
         raise failure[0]
 
 
-def _split_stream(rng: np.random.Generator, cut: int, first, second) -> None:
-    """Run first(rng) on this thread and second(ahead) on another, where
-    ahead is a PCG64 generator at draw ``cut`` of rng's stream.
+def _split_stream(rng: np.random.Generator, cut: int, first, second, elements: int) -> None:
+    """_in_two_lanes(first(rng), second(ahead), elements), where ahead is a
+    PCG64 generator at draw ``cut`` of rng's stream.
 
     ahead is a copy of rng advanced past ``cut`` doubles (PCG64.advance, a
-    jump-ahead in O(log cut) steps). rng then takes the copy's end state,
-    so when first draws ``cut`` values, the values of both and the stream
-    after them are those of one serial draw.
+    jump-ahead in O(log cut) steps), on one lane as on two. rng then takes
+    the copy's end state, so when first draws ``cut`` values, the values
+    of both and the stream after them are those of one serial draw.
     """
     start = rng.bit_generator.state
     ahead = np.random.PCG64()
     ahead.state = start
     ahead.advance(cut)
-    _in_two_lanes(lambda: first(rng), lambda: second(np.random.Generator(ahead)))
+    _in_two_lanes(lambda: first(rng), lambda: second(np.random.Generator(ahead)), elements)
     # advance drops a buffered 32-bit half; a serial double draw keeps it.
     end = ahead.state
     end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]

@@ -24,7 +24,7 @@ import os
 import sys
 import threading
 
-from . import __version__, cauchy
+from . import __version__
 from .cauchy import GENERATOR_NAME, RngSeed, _in_two_lanes
 from .concentration import max_abs_plan, plan_dimension
 from .metric import _rho_bound, _row_segments, rho_blocks
@@ -249,9 +249,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _run_suites(names, seed, trials) -> dict:
     """The report of each named suite, or the exception it raised, by name.
 
-    Several suites on two CPUs run over the two lanes: each lane takes
-    the next of ``names`` (given heaviest first) as it frees, and nothing
-    a suite runs starts a lane. Otherwise they run in turn.
+    Two lanes each take the next of ``names`` (given heaviest first) as
+    they free; nothing a suite runs starts a lane. On two CPUs the second
+    lane is a worker thread, which may take a lone suite; on one it runs
+    on the caller after the first and finds every suite taken.
     """
     pending = iter(names)
     lock = threading.Lock()
@@ -268,10 +269,7 @@ def _run_suites(names, seed, trials) -> dict:
             except Exception as exc:  # raised in its name's turn
                 outcomes[name] = exc
 
-    if len(names) > 1 and cauchy._LANES == 2:
-        _in_two_lanes(lane, lane)
-    else:
-        lane()
+    _in_two_lanes(lane, lane)
     return outcomes
 
 

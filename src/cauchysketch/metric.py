@@ -105,11 +105,12 @@ def rho_blocks(coords):
     raises ValueError before its block is yielded.
 
     Each row segment of a block runs a stack of _TILE // k rows (at least
-    one) at a time. A block of 2^18 or more differences, with two CPUs,
-    is cut at its middle pair and the halves run on two threads. Each
-    lane allocates its two scratch tiles once, so besides coords the
-    blocks hold one buffer and, per lane, at most 2 max(_TILE, k) floats
-    and numpy's ufunc buffer, whatever N is.
+    one) at a time. Every block is cut at its middle pair; with two CPUs
+    the halves of a block of 2^18 or more differences run on two threads,
+    else one after the other (see _in_two_lanes). Each lane allocates its
+    two scratch tiles once, so besides coords the blocks hold one buffer
+    and, per lane, at most 2 max(_TILE, k) floats and numpy's ufunc
+    buffer, whatever N is.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[0] < 2 or coords.shape[1] == 0:
@@ -118,20 +119,19 @@ def rho_blocks(coords):
     total = n * (n - 1) // 2
     size = min(_BLOCK_PAIRS, total)
     buffer = np.empty(size)
-    # The first block is the largest, so it takes the most lanes.
+    # The first block is the largest, so it takes the most lanes; on one,
+    # both halves of a block run in scratch[0].
     scratch = [_scratch(min(n - 1, size), k) for _ in range(_lanes(size * k))]
     i, j = 0, 1
     for lo in range(0, total, size):
         values = buffer[: min(size, total - lo)]
-        if _lanes(values.size * k) == 1:
-            _rho_span(coords, i, j, values, *scratch[0])
-        else:
-            half = values.size // 2
-            second = _advance(n, i, j, half)
-            _in_two_lanes(
-                lambda: _rho_span(coords, i, j, values[:half], *scratch[0]),
-                lambda: _rho_span(coords, *second, values[half:], *scratch[1]),
-            )
+        half = values.size // 2
+        second = _advance(n, i, j, half)
+        _in_two_lanes(
+            lambda: _rho_span(coords, i, j, values[:half], *scratch[0]),
+            lambda: _rho_span(coords, *second, values[half:], *scratch[-1]),
+            values.size * k,
+        )
         _check_finite(values)
         yield i, j, values
         i, j = _advance(n, i, j, values.size)

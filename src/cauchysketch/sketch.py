@@ -38,7 +38,6 @@ from .cauchy import (
     RngSeed,
     _check_count,
     _fill_cauchy,
-    _lanes,
     _split_stream,
     make_generator,
     sample_standard_cauchy,
@@ -116,14 +115,15 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
     point. It is drawn and applied a block of rows at a time (about
     _BLOCK_DRAWS entries) into one reused buffer, so the memory held is
     the sketch plus one block. Each block is cut in two at a row fixed by
-    the block alone, and each half is one product on one BLAS thread, so
-    the bytes do not depend on the BLAS thread count or the CPU count
-    (when numpy's OpenBLAS is not found, the halves run on BLAS's own
-    thread count; see _one_blas_thread). Raises ValueError when a product
-    overflows: finite points can still produce an infinite sketch
-    coordinate, which no distance could be read from. Raises it too when
-    a column's max - min overflows, since that bounds the difference of
-    every pair of rows the estimate takes.
+    the block alone, the second half drawn from a jump-ahead copy of the
+    stream (_split_stream) at any CPU count, and each half is one product
+    on one BLAS thread, so the bytes depend on neither the BLAS thread
+    count nor the CPU count (when numpy's OpenBLAS is not found, the
+    halves run in turn on BLAS's own thread count; see _one_blas_thread).
+    Raises ValueError when a product overflows: finite points can still
+    produce an infinite sketch coordinate, which no distance could be read
+    from. Raises it too when a column's max - min overflows, since that
+    bounds the difference of every pair of rows the estimate takes.
     """
     arr = _as_point_array(points)
     d = arr.shape[1]
@@ -151,17 +151,12 @@ def sketch_dataset(points, k: int, seed: RngSeed) -> np.ndarray:
         for lo in range(0, k, rows):
             hi = min(k, lo + rows)
             mid = lo + _cut(hi - lo)
-            # The second half is drawn from a jump-ahead copy of the
-            # stream on the second lane; on one lane, or uncapped (where a
-            # threaded product's workers already use the other CPU), one
-            # lane makes the same two calls in turn.
-            if capped and mid > lo and _lanes((hi - lo) * d) == 2:
-                _split_stream(
-                    rng, (mid - lo) * d, lambda g: project(g, lo, mid), lambda g: project(g, mid, hi)
-                )
-            else:
-                project(rng, lo, mid)
-                project(rng, mid, hi)
+            # Uncapped, a threaded product's workers already use the other
+            # CPU, so the halves run one after the other.
+            _split_stream(
+                rng, (mid - lo) * d, lambda g: project(g, lo, mid), lambda g: project(g, mid, hi),
+                (hi - lo) * d if capped else 0,
+            )
     if not np.isfinite(coords).all():
         raise ValueError("sketch coordinates overflow float64; rescale the points")
     with np.errstate(over="ignore"):

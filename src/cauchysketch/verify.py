@@ -301,7 +301,7 @@ def _bound_case(
 
 
 def _subseed(seed: RngSeed, offset: int) -> RngSeed:
-    return RngSeed(seed.seed, seed.stream_id + offset)
+    return RngSeed(seed.seed, (seed.stream_id + offset) % 2**64)
 
 
 def _suite_specfun(seed: RngSeed, n: int = 0):

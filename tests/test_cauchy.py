@@ -2,6 +2,7 @@
 and the KS machinery."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -353,9 +354,10 @@ class TestCountArguments:
 
 
 class TestLanes:
-    """_split_stream draws a PCG64 stream on two lanes by jump-ahead; the
-    bits and the stream after the draw are those of one serial draw. The
-    row map splits nothing: it draws on its caller's thread."""
+    """_split_stream draws a PCG64 stream in two halves by jump-ahead, on
+    one lane or two; the bits and the stream after the draw are those of
+    one serial draw. The row map splits nothing: it draws on its caller's
+    thread."""
 
     @staticmethod
     def _draw(rng, size):
@@ -365,27 +367,34 @@ class TestLanes:
         return out.ravel()
 
     @pytest.mark.parametrize("size", [2**18 - 1, 2**18, 2**18 + 1, 3 * 2**16 + 5, 4_000_000])
-    def test_lanes_change_no_bits(self, size):
+    def test_lanes_change_no_bits(self, monkeypatch, started_threads, size):
+        # A split of ``size`` draws on one lane and on two (from 2^18 draws
+        # on, with a thread) against one serial draw.
         cut = size // 2
         results = []
-        for split in (False, True):
+        for lanes in (None, 1, 2):  # None: the serial draw
+            monkeypatch.setattr(cauchy_module, "_LANES", lanes or 1)
+            started_threads.clear()
             rng = make_generator(SEED)
             rng.integers(0, 10, dtype=np.uint32)  # leaves half a 64-bit output buffered
             draws = np.empty(size)
-            if split:
+            if lanes:
                 _split_stream(
                     rng,
                     cut,
                     lambda g: _fill_cauchy(g, draws[:cut]),
                     lambda g: _fill_cauchy(g, draws[cut:]),
+                    size,
                 )
             else:
                 _fill_cauchy(rng, draws)
+            assert len(started_threads) == (lanes == 2 and size >= 2**18)
             results.append((draws, rng.bit_generator.state, sample_standard_cauchy(rng, 77)))
-        (one, state_one, next_one), (two, state_two, next_two) = results
-        assert np.array_equal(one.view(np.uint64), two.view(np.uint64))
-        assert state_one == state_two
-        assert np.array_equal(next_one.view(np.uint64), next_two.view(np.uint64))
+        serial, serial_state, serial_next = results[0]
+        for split, state, after in results[1:]:
+            assert np.array_equal(serial.view(np.uint64), split.view(np.uint64))
+            assert state == serial_state
+            assert np.array_equal(serial_next.view(np.uint64), after.view(np.uint64))
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
     def test_other_bit_generators_draw_in_one_lane(self, monkeypatch, bit_generator):
@@ -419,6 +428,49 @@ class TestLaneNesting:
         with pytest.raises(ArithmeticError, match=failing):
             _in_two_lanes(lane("first"), lane("second"))
         assert _lanes(2**20) == 2
+
+
+class TestInTwoLanes:
+    """_in_two_lanes runs first() and then second() on the caller when the
+    work takes one lane, and second() on one worker thread otherwise;
+    first()'s exception surfaces either way."""
+
+    @staticmethod
+    def _run(monkeypatch, lanes, elements, first=None, second=None):
+        # The halves, each with the thread it ran on, in the order they
+        # started.
+        ran = []
+
+        def half(name, fail):
+            def run():
+                ran.append((name, threading.current_thread()))
+                if fail is not None:
+                    raise fail
+            return run
+
+        monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+        _in_two_lanes(half("first", first), half("second", second), elements)
+        return ran
+
+    @pytest.mark.parametrize("lanes, elements", [(1, None), (1, 2**20), (2, 2**18 - 1), (2, 0)])
+    def test_one_lane_runs_both_halves_on_the_caller(self, monkeypatch, started_threads, lanes, elements):
+        ran = self._run(monkeypatch, lanes, elements)
+        caller = threading.current_thread()
+        assert ran == [("first", caller), ("second", caller)]
+        assert started_threads == []
+
+    @pytest.mark.parametrize("elements", [None, 2**18, 2**20])
+    def test_two_lanes_start_one_thread(self, monkeypatch, started_threads, elements):
+        ran = self._run(monkeypatch, 2, elements)
+        assert len(started_threads) == 1
+        assert dict(ran) == {"first": threading.current_thread(), "second": started_threads[0]}
+
+    @pytest.mark.parametrize("lanes, elements", [(1, None), (2, 0), (2, None)])
+    def test_first_exception_surfaces(self, monkeypatch, lanes, elements):
+        with pytest.raises(ArithmeticError, match="first"):
+            self._run(monkeypatch, lanes, elements, ArithmeticError("first"), LookupError("second"))
+        with pytest.raises(LookupError, match="second"):
+            self._run(monkeypatch, lanes, elements, None, LookupError("second"))
 
 
 class TestMapRows:

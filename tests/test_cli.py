@@ -406,8 +406,8 @@ class TestEstimate:
 
 
 class TestEstimateLanes:
-    """estimate splits a block of 2^18 or more differences over two lanes
-    at its middle pair."""
+    """estimate cuts every block at its middle pair and runs the halves of
+    a block of 2^18 or more differences on two lanes."""
 
     @pytest.fixture
     def sketch(self, tmp_path):
@@ -451,6 +451,44 @@ class TestEstimateLanes:
         assert captured.out == ""
 
 
+class TestOneCpuRunsTheSameHalves:
+    """One lane runs the halves two lanes run: the jump-ahead cut of each
+    sketch block and the middle-pair cut of each estimate block."""
+
+    def test_one_lane_cuts_what_two_lanes_cut(self, tmp_path, monkeypatch):
+        # N = 400, d = 4096, k = 64: the sketch is one block of 2^18 draws,
+        # cut at row 32, and the first 19 of the 20 estimate blocks hold
+        # 2^18 differences, the last 126,464.
+        points = str(tmp_path / "points.bin")
+        write_binary_matrix(points, np.random.default_rng(31).standard_normal((400, 4096)))
+        spans, cuts = [], []
+        rho_span, split_stream = metric_module._rho_span, sketch_module._split_stream
+
+        def recording_span(coords, i, j, out, *scratch):
+            spans.append((i, j, out.size))
+            rho_span(coords, i, j, out, *scratch)
+
+        def recording_split(rng, cut, *rest):
+            cuts.append(cut)
+            split_stream(rng, cut, *rest)
+
+        monkeypatch.setattr(metric_module, "_rho_span", recording_span)
+        monkeypatch.setattr(sketch_module, "_split_stream", recording_split)
+        runs = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+            spans.clear()
+            cuts.clear()
+            sk, table = str(tmp_path / f"sk{lanes}.bin"), tmp_path / f"pairs{lanes}.csv"
+            assert main(["sketch", "--input", points, "--format", "bin", "--output", sk,
+                         "--epsilon", "0.25", "--k", "64", "--seed", "3"]) == 0
+            assert main(["estimate", "--input", sk, "--output", str(table)]) == 0
+            runs.append((sorted(spans), cuts[:], Path(sk).read_bytes(), table.read_bytes()))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 2 * 20
+        assert runs[0][1] == [32 * 4096]
+
+
 class TestEstimateBytes:
     """The estimate table of a fixed sketch keeps the bytes 0.15.0 wrote."""
 
@@ -458,9 +496,9 @@ class TestEstimateBytes:
     def test_table_bytes_are_frozen(self, tmp_path, monkeypatch, lanes):
         # The sketch is written directly, so no projection product (and no
         # BLAS) enters. At k = 5000 a stack of 13 rows ends inside a row's
-        # pairs, the 4,096 pairs of the first block take two lanes, cut
-        # inside a row, and the row scales give all four tags. The
-        # coordinates are exact multiples of powers of two.
+        # pairs, the 4,096 pairs of the first block are cut inside a row
+        # (on two lanes, two threads), and the row scales give all four
+        # tags. The coordinates are exact multiples of powers of two.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
         rng = np.random.default_rng(16)
         scales = np.repeat(2.0 ** np.array([-43, -6, 1, 4]), 25)[:, None]
@@ -733,6 +771,20 @@ class TestVerifyCommand:
         assert main([*args, "--output", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_largest_stream_runs(self, tmp_path, capsys):
+        # Suites draw from streams at offsets of up to 803 from --stream,
+        # which wrap past 2^64 - 1 instead of naming a stream out of range.
+        stream = str(2**64 - 1)
+        assert main(["verify", "--suite", "moments", "--trials", "0", "--stream", stream]) == 0
+        assert capsys.readouterr().err == ""
+        out = tmp_path / "report.jsonl"
+        code = main(["verify", "--suite", "all", "--trials", "10", "--stream", stream, "--output", str(out)])
+        assert code in (0, 1)
+        assert capsys.readouterr().err == ""
+        summaries = [line for line in map(json.loads, out.read_text().splitlines()) if line.get("summary")]
+        assert len(summaries) == len(SUITES)
+        assert {line["stream"] for line in summaries} == {2**64 - 1}
+
 
 class TestVerifySuiteLanes:
     """verify --suite all runs whole suites over two lanes, one level deep,
@@ -740,28 +792,24 @@ class TestVerifySuiteLanes:
     each suite."""
 
     @staticmethod
-    def _verify(monkeypatch, capsys, lanes, *argv):
+    def _verify(monkeypatch, capsys, started_threads, lanes, *argv):
+        # Both lane counts run the same two lanes; two CPUs start the
+        # second as the one thread.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
-        calls = []
-
-        def counting(first, second):
-            calls.append(1)
-            cauchy_module._in_two_lanes(first, second)
-
-        monkeypatch.setattr(cli_module, "_in_two_lanes", counting)
+        started_threads.clear()
         code = main(["verify", "--suite", "all", *argv])
         captured = capsys.readouterr()
-        assert len(calls) == (lanes == 2)
+        assert len(started_threads) == (lanes == 2)
         return code, re.sub(r"\(\d+ ms\)", "", captured.out), captured.err
 
-    def test_lanes_keep_report_and_stdout(self, tmp_path, monkeypatch, capsys):
+    def test_lanes_keep_report_and_stdout(self, tmp_path, monkeypatch, capsys, started_threads):
         # seed 0 at 2000 trials fails one KS gate, so the FAIL lines and
         # the exit code are compared too
         results = []
         for lanes in (1, 2):
             out = tmp_path / f"{lanes}.jsonl"
             argv = ["--trials", "2000", "--seed", "0", "--output", str(out)]
-            results.append((*self._verify(monkeypatch, capsys, lanes, *argv), out.read_bytes()))
+            results.append((*self._verify(monkeypatch, capsys, started_threads, lanes, *argv), out.read_bytes()))
         assert results[0] == results[1]
         code, stdout, err, _ = results[0]
         assert code == 1 and err == ""
@@ -769,19 +817,15 @@ class TestVerifySuiteLanes:
             f"suite {name}" for name in sorted(SUITES)
         ]
 
-    def test_all_suites_start_one_thread(self, monkeypatch, capsys):
+    def test_all_suites_start_one_thread(self, monkeypatch, capsys, started_threads):
         # The second lane is the only thread: nothing a suite runs starts
         # one, though its Monte Carlo calls draw millions of values.
         monkeypatch.setattr(cauchy_module, "_LANES", 2)
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
         assert main(["verify", "--suite", "all", "--trials", "2000", "--seed", "20240817"]) == 0
-        assert len(started) == 1
+        assert len(started_threads) == 1
 
-    def test_first_failing_suite_in_name_order_raises(self, tmp_path, monkeypatch, capsys):
-        # Two suites raise: on two lanes tails raises on the second lane
-        # while stability runs on the first. moments comes first in name
+    def test_first_failing_suite_in_name_order_raises(self, tmp_path, monkeypatch, capsys, started_threads):
+        # Two suites raise, on either lane. moments comes first in name
         # order, so both lane counts print the two suites before it and
         # exit on its error.
         def broken(exc):
@@ -796,7 +840,7 @@ class TestVerifySuiteLanes:
         for lanes in (1, 2):
             out = tmp_path / f"{lanes}.jsonl"
             argv = ["--trials", "2000", "--seed", "5", "--output", str(out)]
-            results.append(self._verify(monkeypatch, capsys, lanes, *argv))
+            results.append(self._verify(monkeypatch, capsys, started_threads, lanes, *argv))
             assert not out.exists()
         assert results[0] == results[1]
         code, stdout, err = results[0]

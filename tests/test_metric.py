@@ -331,8 +331,8 @@ class TestRhoPairs:
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_overflow_in_second_lane_rows_raises(self, monkeypatch, lanes):
-        # 4,950 pairs x k = 64 are a first block of 4,096 pairs, which
-        # takes two lanes whose second starts at pair 2,048 (row 23), and
+        # 4,950 pairs x k = 64 are a first block of 4,096 pairs, cut at
+        # pair 2,048 (row 23) and run on two lanes when it may, and
         # a second block of 854 pairs. Pair (40, 41) is pair 3,180, in the
         # first block's second half; pair (98, 99) is the last pair.
         monkeypatch.setattr(cauchy_module, "_LANES", lanes)
@@ -351,10 +351,9 @@ class TestRhoPairs:
     @pytest.mark.parametrize("n, k", [(30, 5000), (9, 2**16 + 3)])
     def test_blocks_are_pieces_of_rho_pairs(self, monkeypatch, n, k, block, lanes):
         # The blocks of any size, on any lanes, are pieces of the per-pair
-        # values. At k = 5000 blocks of 7 pairs end inside rows, and on
-        # two lanes the one block of all 435 pairs is cut inside row 8. At
-        # k = 2^16 + 3, on two lanes, a block of 7 or more pairs is cut
-        # inside a row.
+        # values. At k = 5000 blocks of 7 pairs end inside rows, and the
+        # one block of all 435 pairs is cut inside row 8. At k = 2^16 + 3
+        # a block of 7 or more pairs is cut inside a row.
         coords = _cauchy_coords(n, k)
         whole = _pair_calls(coords)
         monkeypatch.setattr(metric_module, "_BLOCK_PAIRS", block)

@@ -331,27 +331,45 @@ class TestBlasCap:
         (5, 3000, 1000, 3),  # blocks of 320 rows cut at 192, a last one of 40 on one lane
         (7, 4000, 100, 1),   # k < 128: one block cut at 50
     ])
-    def test_lanes_change_no_bytes(self, monkeypatch, n, d, k, splits):
+    def test_lanes_change_no_bytes(self, monkeypatch, started_threads, n, d, k, splits):
+        # Both lane counts cut every block; two lanes start a thread for
+        # each block of 2^18 or more draws.
         points = make_generator(RngSeed(5, 16)).standard_normal((n, d))
-        calls = []
-        split = sketch_module._split_stream
-
-        def counting(*args):
-            calls.append(1)
-            split(*args)
-
-        monkeypatch.setattr(sketch_module, "_split_stream", counting)
         sketches = []
         for lanes in (1, 2):
             monkeypatch.setattr(cauchy_module, "_LANES", lanes)
-            calls.clear()
+            started_threads.clear()
             sketches.append(sketch_dataset(points, k, SEED))
-            assert len(calls) == (splits if lanes == 2 else 0)
+            assert len(started_threads) == (splits if lanes == 2 else 0)
         assert sketches[0].tobytes() == sketches[1].tobytes()
         # Each lane multiplies the rows of F its half covers.
         entries = build_projection(k, d, SEED).entries
         scale = np.abs(points) @ np.abs(entries).T
         assert np.all(np.abs(sketches[1] - points @ entries.T) <= d * np.finfo(float).eps * scale)
+
+    def test_one_row_blocks_keep_their_bytes(self, monkeypatch):
+        # At d = 2^19 + 1 every block is one row of F, so its first half is
+        # empty and the second half draws the whole row from the jump-ahead
+        # copy, on a thread when capped on two lanes.
+        points = make_generator(RngSeed(5, 18)).standard_normal((2, 2**19 + 1))
+        sizes = []
+        fill = sketch_module._fill_cauchy
+
+        def recording(rng, out):
+            sizes.append(out.size)
+            return fill(rng, out)
+
+        monkeypatch.setattr(sketch_module, "_fill_cauchy", recording)
+        sketches = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(cauchy_module, "_LANES", lanes)
+            sizes.clear()
+            sketches.append(sketch_dataset(points, 3, SEED))
+            assert sorted(sizes) == [0] * 3 + [2**19 + 1] * 3  # in either order on two lanes
+        assert sketches[0].tobytes() == sketches[1].tobytes()
+        entries = build_projection(3, 2**19 + 1, SEED).entries
+        scale = np.abs(points) @ np.abs(entries).T
+        assert np.all(np.abs(sketches[0] - points @ entries.T) <= 2**20 * np.finfo(float).eps * scale)
 
     @needs_cap
     def test_overflow_in_the_second_lane_raises(self, monkeypatch):
@@ -372,14 +390,12 @@ class TestBlasCap:
         with pytest.raises(ValueError, match="overflow float64"):
             sketch_dataset(np.ones((3, 4000)), 100, SEED)
 
-    def test_without_openblas_the_halves_run_on_one_lane(self, monkeypatch):
+    def test_without_openblas_the_halves_run_on_one_lane(self, monkeypatch, started_threads):
         monkeypatch.setattr(cauchy_module, "_LANES", 2)
         monkeypatch.setattr(sketch_module, "_openblas", lambda: None)
-        calls = []
-        monkeypatch.setattr(sketch_module, "_split_stream", lambda *args: calls.append(1))
         points = make_generator(RngSeed(5, 17)).standard_normal((4, 4000))
         coords = sketch_dataset(points, 100, SEED)
-        assert not calls
+        assert not started_threads
         entries = build_projection(100, 4000, SEED).entries
         scale = np.abs(points) @ np.abs(entries).T
         assert np.all(np.abs(coords - points @ entries.T) <= 4000 * np.finfo(float).eps * scale)

@@ -3,7 +3,6 @@
 import heapq
 import json
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -357,20 +356,17 @@ class TestTilesAndLanes:
         monkeypatch.setattr(cauchy_module, "_LANE_MIN_ELEMENTS", 1)
         assert empirical_k_search(2.0, 0.25, 0.05, SEED, trials=301) == k
 
-    def test_a_lane_never_starts_a_lane(self, monkeypatch):
+    def test_a_lane_never_starts_a_lane(self, monkeypatch, started_threads):
         # Two rows of 2^18 draws, their xi and a direct draw as large run
         # on the caller's thread, so a verify lane that runs them starts no
         # lane of its own.
         width = 2**18
         reference = run_concentration_trial(1.0, 0.25, width, 2, SEED)
         monkeypatch.setattr(cauchy_module, "_LANES", 2)
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
         trial = run_concentration_trial(1.0, 0.25, width, 2, SEED)
         xi(np.ones(width))
         sample_standard_cauchy(make_generator(SEED), width)
-        assert started == []
+        assert started_threads == []
         assert (trial.fail_upper, trial.fail_lower) == (reference.fail_upper, reference.fail_lower)
 
 
