@@ -27,7 +27,7 @@ from .sketch import (
     write_binary_matrix,
 )
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 __all__ = [
     "__version__",

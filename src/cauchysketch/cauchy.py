@@ -2,11 +2,11 @@
 distribution of |X|, and 1-stable linear combinations.
 
 The standard Cauchy density is 1/(pi (1+x^2)). Its absolute value has
-CDF (2/pi) arctan(t) and survival (2/pi) arctan(1/t), and linear
-combinations sum_j v_j X_j of iid draws are distributed as ||v||_1 X:
-that 1-stability is what lets a single projected coordinate carry the
-l1 norm. The property is about laws, so it is validated distributionally
-(Kolmogorov-Smirnov at fixed n), never per draw.
+CDF (2/pi) arctan(t), and linear combinations sum_j v_j X_j of iid
+draws are distributed as ||v||_1 X: that 1-stability is what lets a
+single projected coordinate carry the l1 norm. The property is about
+laws, so it is validated distributionally (Kolmogorov-Smirnov at fixed
+n), never per draw.
 
 Sampling is by inverse CDF, tan(pi (u - 1/2)) for u uniform on (0, 1):
 one uniform per draw and exactly reproducible, transformed in place in
@@ -38,7 +38,6 @@ __all__ = [
     "make_generator",
     "sample_standard_cauchy",
     "cdf_abs",
-    "survival_abs",
     "stable_combination",
     "ks_statistic",
     "ks_critical_value",
@@ -215,19 +214,6 @@ def cdf_abs(t):
         raise ValueError("cdf_abs requires t >= 0")
     out = np.arctan(t)
     out *= 2.0 / np.pi
-    return float(out) if out.ndim == 0 else out
-
-
-def survival_abs(t):
-    """P{|X| > t} = (2/pi) arctan(1/t) for t > 0.
-
-    Equals 1 - cdf_abs(t) by the arctan inversion formula
-    arctan(t) + arctan(1/t) = pi/2.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t <= 0.0) or np.any(np.isnan(t)):
-        raise ValueError("survival_abs requires t > 0")
-    out = (2.0 / np.pi) * np.arctan(1.0 / t)
     return float(out) if out.ndim == 0 else out
 
 

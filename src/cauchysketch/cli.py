@@ -94,7 +94,14 @@ def cmd_sketch(args: argparse.Namespace) -> int:
         "epsilon": float(args.epsilon),
         "c": float(args.c),
     }
-    _write_sketch(args.output, coords, metadata)
+    # _temp_files unlinks the old sidecar before the matrix replaces the
+    # old one, and the new sidecar comes last, so a crash leaves the old
+    # pair, the new pair, or a matrix without a sidecar (which estimate
+    # rejects), never a new matrix beside a stale sidecar.
+    with _temp_files(args.output, args.output + ".json") as (matrix_tmp, sidecar_tmp):
+        write_binary_matrix(matrix_tmp, coords)
+        with open(sidecar_tmp, "w") as handle:
+            handle.write(json.dumps(metadata, sort_keys=True) + "\n")
     print(
         f"sketched {n} points, d = {points.shape[1]} -> k = {k}; "
         f"wrote {args.output} and {args.output}.json"
@@ -102,38 +109,27 @@ def cmd_sketch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_sketch(path, coords, metadata) -> None:
-    """Write the sketch matrix to ``path`` and its sidecar to ``path``.json.
-
-    Both go to temp files in the output directory first. The old sidecar
-    is unlinked before the matrix replaces the old one, and the new
-    sidecar comes last, so a crash leaves the old pair, the new pair, or
-    a matrix without a sidecar (which estimate rejects), never a new
-    matrix beside a stale sidecar. Temp files do not outlive an error.
-    """
-    sidecar = path + ".json"
-    with _temp_files(path, sidecar) as (matrix_tmp, sidecar_tmp):
-        write_binary_matrix(matrix_tmp, coords)
-        with open(sidecar_tmp, "w") as handle:
-            handle.write(json.dumps(metadata, sort_keys=True) + "\n")
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(sidecar)
-        os.replace(matrix_tmp, path)
-        os.replace(sidecar_tmp, sidecar)
-
-
 @contextlib.contextmanager
 def _temp_files(*paths):
-    """A temp file name beside each of ``paths``; none outlives the block,
-    and an OSError on one names its path instead."""
-    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    """A temp file name beside the resolved target of each of ``paths``. On
+    a clean exit the targets after the first are unlinked, then each temp
+    replaces its target in order, so a link stays a link. No temp outlives
+    the block, and an OSError on a temp or a target names its path as given."""
+    targets = [os.path.realpath(path) for path in paths]
+    temps = [f"{target}.{os.getpid()}.tmp" for target in targets]
+    given = dict(zip(temps + targets, paths + paths))
     try:
         yield temps
+        for target in targets[1:]:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(target)
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
     except OSError as exc:
-        if exc.filename not in temps:
+        if exc.filename not in given:
             raise
-        # OSError picks the subclass from errno; a temp only ever goes to its path.
-        raise OSError(exc.errno, exc.strerror, paths[temps.index(exc.filename)]) from exc
+        # OSError picks the subclass from errno.
+        raise OSError(exc.errno, exc.strerror, given[exc.filename]) from exc
     finally:
         for name in temps:
             with contextlib.suppress(FileNotFoundError):
@@ -142,18 +138,28 @@ def _temp_files(*paths):
 
 @contextlib.contextmanager
 def _output(path):
-    """A text handle on the --output file ``path``: a temp file beside it
-    that replaces it once complete, so an error leaves the old file whole,
-    or, for a symlink or an existing target that is not a regular file (a
-    FIFO, /dev/stdout), the target itself, written through the link."""
-    if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+    """A text handle on the --output file ``path``: fd 1 when ``path`` is
+    the command's stdout; else ``path`` itself when it exists but does not
+    resolve to a regular file (a FIFO, a terminal, a deleted file behind
+    /dev/stderr); else a temp file that replaces the resolved target once
+    complete, so an error leaves the old file whole."""
+    if _is_stdout(path):
+        with open(1, "w", closefd=False) as handle:
+            yield handle
+    elif os.path.exists(path) and not os.path.isfile(os.path.realpath(path)):
         with open(path, "w") as handle:
             yield handle
-        return
-    with _temp_files(path) as (temp,):
-        with open(temp, "w") as handle:
+    else:
+        with _temp_files(path) as (temp,), open(temp, "w") as handle:
             yield handle
-        os.replace(temp, path)
+
+
+def _is_stdout(path) -> bool:
+    """Whether ``path`` is the file the command's stdout (fd 1) has open."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -348,8 +354,11 @@ def _resolve_seed(args: argparse.Namespace) -> RngSeed:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Output to the command's own stdout is all that it prints there.
+    quiet = args.output is not None and _is_stdout(args.output)
     try:
-        return args.handler(args)
+        with contextlib.redirect_stdout(None) if quiet else contextlib.nullcontext():
+            return args.handler(args)
     except (DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

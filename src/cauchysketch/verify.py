@@ -30,7 +30,6 @@ from .cauchy import (
     make_generator,
     sample_standard_cauchy,
     stable_combination,
-    survival_abs,
 )
 from .concentration import (
     _max_threshold,
@@ -418,9 +417,6 @@ def _suite_moments(seed: RngSeed, n: int = 0):
 
 
 def _suite_stability(seed: RngSeed, n: int = 100_000):
-    grid = np.logspace(-3, 3, 20)
-    worst = max(abs(cdf_abs(t) + survival_abs(t) - 1.0) for t in grid)
-    yield _bound_case("cdf_abs + survival_abs = 1 on log grid", worst, 0.0, 1e-15)
     if not n:
         return
     # 10 combination statistics and 1 raw-draw statistic share a
@@ -634,7 +630,8 @@ SUITES = {
 
 def run_suite(name: str, seed: RngSeed, trials: int | None = None) -> VerificationReport:
     """Run one named suite and time it. trials=None takes the suite's
-    default size; trials=0 runs only the deterministic cases."""
+    default size; trials=0 runs only the deterministic cases, of which
+    stability has none."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
     sizes = () if trials is None else (_check_count("trials", trials, 0),)

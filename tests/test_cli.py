@@ -9,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -622,17 +623,14 @@ class TestEstimateBlocks:
 
 
 class TestOutputFiles:
-    """--output files are written beside the target and renamed over it
-    once complete; a target that is not a regular file is written in place."""
+    """--output files are written beside their resolved target and renamed
+    over it once complete; a target that is not a regular file is written
+    in place."""
 
-    def test_failed_estimate_leaves_the_old_table(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def _fail_in_block_3(sk, out, monkeypatch, capsys):
         # 200 points give 19,900 pairs in 5 blocks; writing the third
         # block's second row segment fails.
-        rng = np.random.default_rng(29)
-        sk = _write_sketch(tmp_path / "sk.bin", rng.standard_normal((200, 64)))
-        out = tmp_path / "pairs.csv"
-        assert main(["estimate", "--input", sk, "--output", str(out)]) == 0
-        old = out.read_bytes()
         real_rows = cli_module._table_rows
         blocks = []
 
@@ -648,8 +646,48 @@ class TestOutputFiles:
         assert main(["estimate", "--input", sk, "--output", str(out)]) == 3
         assert "No space left on device" in capsys.readouterr().err
         assert len(blocks) == 3
+
+    def test_failed_estimate_leaves_the_old_table(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(29)
+        sk = _write_sketch(tmp_path / "sk.bin", rng.standard_normal((200, 64)))
+        out = tmp_path / "pairs.csv"
+        assert main(["estimate", "--input", sk, "--output", str(out)]) == 0
+        old = out.read_bytes()
+        self._fail_in_block_3(sk, out, monkeypatch, capsys)
         assert out.read_bytes() == old
         assert sorted(os.listdir(tmp_path)) == ["pairs.csv", "sk.bin", "sk.bin.json"]
+
+    def test_failed_estimate_through_a_link_leaves_the_old_target(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(29)
+        sk = _write_sketch(tmp_path / "sk.bin", rng.standard_normal((200, 64)))
+        target, link = tmp_path / "pairs.csv", tmp_path / "pairs.link"
+        assert main(["estimate", "--input", sk, "--output", str(target)]) == 0
+        old = target.read_bytes()
+        link.symlink_to(target)
+        self._fail_in_block_3(sk, link, monkeypatch, capsys)
+        assert link.is_symlink()
+        assert target.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["pairs.csv", "pairs.link", "sk.bin", "sk.bin.json"]
+
+    def test_sketch_through_a_link_replaces_the_target(self, dataset, tmp_path, capsys):
+        # The link is kept and its target gets a plain run's bytes; the
+        # sidecar sits beside the link's name, where estimate looks.
+        plain = Path(run_sketch(dataset, tmp_path))
+        (tmp_path / "out").mkdir()
+        target, link = tmp_path / "out" / "target.bin", tmp_path / "link.bin"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert main(["sketch", "--input", dataset, "--output", str(link), "--epsilon", "0.25",
+                     "--k", "400", "--seed", "7"]) == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.read_bytes() == plain.read_bytes()
+        assert Path(f"{link}.json").read_bytes() == Path(f"{plain}.json").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == [
+            "link.bin", "link.bin.json", "out", "points.csv", "sk.bin", "sk.bin.json"
+        ]
+        assert os.listdir(target.parent) == ["target.bin"]
+        assert main(["estimate", "--input", str(link)]) == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -723,6 +761,81 @@ class TestOutputFiles:
         assert main(argv) == 3
         assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'out'\n"
         assert sorted(os.listdir(tmp_path)) == ["out", "points.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+class TestOutputToOwnStdout:
+    """--output /dev/stdout gets the bytes of --output to a file, and the
+    command prints nothing else there: the output goes through fd 1 itself,
+    whatever it has open, and stdout is block-buffered."""
+
+    ARGV = {
+        "plan": ["plan", "--epsilon", "0.25", "--n", "100"],
+        "estimate": ["estimate", "--input", "sk.bin"],
+        "verify": ["verify", "--suite", "specfun", "--trials", "0"],
+    }
+
+    @pytest.fixture
+    def plain(self, command, tmp_path, monkeypatch):
+        # The command's bytes through --output to a plain file, run in
+        # process, beside a sketch for estimate.
+        monkeypatch.chdir(tmp_path)
+        np.savetxt("points.csv", np.random.default_rng(31).standard_normal((40, 3)), delimiter=",")
+        assert main(["sketch", "--input", "points.csv", "--output", "sk.bin", "--epsilon", "0.25",
+                     "--k", "16"]) == 0
+        assert main([*self.ARGV[command], "--output", "plain.out"]) == 0
+        return Path("plain.out").read_bytes()
+
+    def _fresh(self, command, **streams):
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-m", "cauchysketch.cli", *self.ARGV[command], "--output", "/dev/stdout"]
+        done = subprocess.run(argv, env=env, timeout=120, **streams)
+        assert done.returncode == 0, done.stderr
+        return done
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_redirected_to_a_file(self, command, plain):
+        with open("redirected.out", "w") as stdout:
+            self._fresh(command, stdout=stdout)
+        assert Path("redirected.out").read_bytes() == plain
+        assert not any(name.endswith(".tmp") for name in os.listdir())
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_piped(self, command, plain):
+        assert self._fresh(command, capture_output=True).stdout == plain
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_appended_log_keeps_its_lines(self, command, plain):
+        # As a script's `exec >> run.log`: the lines before the command,
+        # its output and what the script writes after it all stay.
+        Path("run.log").write_text("before\n")
+        with open("run.log", "a") as stdout:
+            self._fresh(command, stdout=stdout)
+            stdout.write("after\n")
+        assert Path("run.log").read_bytes() == b"before\n" + plain + b"after\n"
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_unlinked_file_is_read_through_the_parents_handle(self, command, plain):
+        # An unlinked stdout resolves to a name like '#12 (deleted)',
+        # which must not be created.
+        with tempfile.TemporaryFile(dir=".") as stdout:
+            self._fresh(command, stdout=stdout)
+            stdout.seek(0)
+            assert stdout.read() == plain
+        assert sorted(os.listdir()) == ["plain.out", "points.csv", "sk.bin", "sk.bin.json"]
+
+    @pytest.mark.parametrize("command", ["plan"])
+    def test_unlinked_stderr_is_written_in_place(self, command, plain):
+        # --output /dev/stderr, an unlinked file: its resolved name does
+        # not exist, so the output goes to the file itself.
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-m", "cauchysketch.cli", *self.ARGV[command], "--output", "/dev/stderr"]
+        with tempfile.TemporaryFile(dir=".") as stderr:
+            assert subprocess.run(argv, env=env, timeout=120, stdout=subprocess.DEVNULL, stderr=stderr).returncode == 0
+            stderr.seek(0)
+            assert stderr.read() == plain
+        assert sorted(os.listdir()) == ["plain.out", "points.csv", "sk.bin", "sk.bin.json"]
 
 
 class TestVerifyCommand:

@@ -579,6 +579,36 @@ class TestCsvFormat:
         path.write_text("1.0,2.0\n\n3.0,4.5\n\n")
         assert read_csv_matrix(str(path)).shape == (2, 2)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["   \nx,y\n1.0,2.0\n3.0,4.5\n", "1.0,2.0\n \t \n3.0,4.5\n", "1.0,2.0\r\n3.0,4.5\r\n  "],
+        ids=["first", "middle", "last"],
+    )
+    def test_whitespace_only_lines_skipped(self, tmp_path, text):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(text.encode())
+        assert np.array_equal(read_csv_matrix(str(path)), [[1.0, 2.0], [3.0, 4.5]])
+
+    @pytest.mark.parametrize("blank", ["\x0c", "\x1c", "\xa0", "\u3000"])
+    def test_other_whitespace_lines_rejected(self, tmp_path, blank):
+        # Only lines of spaces and tabs are blank.
+        path = tmp_path / "pts.csv"
+        path.write_text(f"1.0,2.0\n{blank}\n3.0,4.5\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="from 2 to 1 at row 2;"):
+            read_csv_matrix(str(path))
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [("x,4", "'x' to float64 at row 1, column 1"), ("3", "from 2 to 1 at row 2;")],
+        ids=["from-0", "from-1"],
+    )
+    def test_error_rows_count_data_rows(self, tmp_path, last, message):
+        # Neither the header nor blank lines count.
+        path = tmp_path / "pts.csv"
+        path.write_text(f"a,b\n \n1,2\n\n{last}\n")
+        with pytest.raises(DatasetFormatError, match=message):
+            read_csv_matrix(str(path))
+
     def test_scientific_notation(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("1e-3,2E+4\n-0.5,+1.25\n")

@@ -416,6 +416,16 @@ class TestReportPlumbing:
         for line in report.to_jsonl_lines():
             assert "runtime" not in line
 
+    def test_stability_has_no_deterministic_cases(self):
+        # trials=0 runs only the deterministic cases, and stability has none.
+        report = run_suite("stability", SEED, trials=0)
+        assert report.cases == []
+        assert report.gated_pass
+        assert [json.loads(line) for line in report.to_jsonl_lines()] == [
+            {"cases": 0, "gated_pass": True, "passed": 0, "seed": SEED.seed, "stream": SEED.stream_id,
+             "suite": "stability", "summary": True}
+        ]
+
     def test_reports_byte_identical(self):
         first = run_suite("stability", SEED, trials=2000).to_jsonl_lines()
         assert run_suite("stability", SEED, trials=2000).to_jsonl_lines() == first
@@ -505,7 +515,7 @@ class TestSuites:
             dim = int(vec_rng.integers(2, 50))
             v = vec_rng.standard_normal(dim) * np.exp(vec_rng.uniform(-2.0, 2.0, size=dim))
             samples = stable_combination(v, make_generator(verify_module._subseed(SEED, 200 + i)), n)
-            case = report.cases[1 + i]
+            case = report.cases[i]
             assert case["case"] == f"1-stability KS, vector {i} (dim {dim}, n={n})"
             scale = float(np.sum(np.abs(v)))
             assert case["oracle"] == ks_statistic(np.abs(samples) / scale, cdf_abs)
